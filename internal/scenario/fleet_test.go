@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -200,5 +202,75 @@ func TestFleetJitterStability(t *testing.T) {
 		if got := fleetJitter(12345, a.group, a.i, 14400); got != a.want {
 			t.Errorf("fleetJitter(12345, %q, %d, 14400) = %d, want %d", a.group, a.i, got, a.want)
 		}
+	}
+}
+
+// TestFleetErrorParity pins the exact first failure — scenario, path and
+// message — that invalid fleet specs report through Validate, Compile
+// and Parse alike. Fleet expansion reports errors against per-replica
+// paths, so any change to how the expansion walk is organised must keep
+// the failure order and every label byte for byte.
+func TestFleetErrorParity(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Spec)
+		want string
+	}{
+		{"duplicate replica name", func(s *Spec) {
+			s.Cluster.Hosts = []ClusterHostSpec{{Name: "web-0002", Machine: "m01",
+				VMs: []ClusterVMSpec{{Name: "x", MemGiB: 4, BusyVCPUs: 1}}}}
+		},
+			`scenario "fleet-under-test": cluster.fleet[0].replica[2].name: duplicate host "web-0002"`},
+		{"duplicate replica VM", func(s *Spec) { s.Cluster.Fleet[1].VMs[0].Name = "fe" },
+			`scenario "fleet-under-test": cluster.fleet[1].replica[0].vms[0].name: VM "fe-0000" already exists in the cluster`},
+		{"bad template VM memory", func(s *Spec) { s.Cluster.Fleet[1].VMs[0].MemGiB = -2 },
+			`scenario "fleet-under-test": cluster.fleet[1].replica[0].vms[0].mem_gib: must be positive, got -2`},
+		{"bad template VM dirty ratio", func(s *Spec) { s.Cluster.Fleet[0].VMs[0].DirtyRatio = 1.5 },
+			`scenario "fleet-under-test": cluster.fleet[0].replica[0].vms[0].dirty_ratio: 1.5 outside [0, 1]`},
+		{"bad phase after lead-in", func(s *Spec) { s.Cluster.Fleet[0].VMs[0].Phases[0].Peak = -1 },
+			`scenario "fleet-under-test": cluster.fleet[0].replica[0].vms[0].phases[1].peak: must be non-negative, got -1`},
+		{"bad phase unjittered", func(s *Spec) {
+			s.Cluster.Fleet[1].VMs[0].Phases = []PhaseSpec{{Kind: "ramp", DurationS: 0}}
+		},
+			`scenario "fleet-under-test": cluster.fleet[1].replica[0].vms[0].phases[0].duration_s: must be positive, got 0`},
+		{"unknown move VM", func(s *Spec) {
+			s.Cluster.Policy, s.Cluster.TickS = "", 0
+			s.Cluster.Moves = []TimedMoveSpec{{VM: "fe-0006", From: "web-0000", To: "web-0001"}}
+		},
+			`scenario "fleet-under-test": cluster.moves[0].vm: unknown VM "fe-0006"`},
+		{"unknown failure host", func(s *Spec) {
+			s.Cluster.Failures = []FailureSpec{{AtS: 60, Kind: "host-crash", Host: "web-0006"}}
+		},
+			`scenario "fleet-under-test": cluster.failures[0].host: unknown host "web-0006"`},
+		{"invalid compiled config", func(s *Spec) { s.Cluster.Fleet[1].Machine = "o1" },
+			`scenario "fleet-under-test": (compiled): cluster: policy-driven timelines need all hosts on one switch; web-0000 is on "Cisco Catalyst 3750", idle-0000 on "HP 1810-8G"`},
+		{"invalid compiled failure window", func(s *Spec) {
+			s.Cluster.Failures = []FailureSpec{{AtS: 60, Kind: "switch-restore", Switch: "switch-m"}}
+		},
+			`scenario "fleet-under-test": (compiled): cluster: failure 0 references unknown switch "switch-m"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := fleetSpec()
+			tc.mut(s)
+			verr := s.Validate()
+			var se *Error
+			if !errors.As(verr, &se) {
+				t.Fatalf("Validate: got %T %v, want a *scenario.Error", verr, verr)
+			}
+			if got := verr.Error(); got != tc.want {
+				t.Errorf("Validate:\n got %s\nwant %s", got, tc.want)
+			}
+			if _, err := s.Compile(); err == nil || err.Error() != verr.Error() {
+				t.Errorf("Compile: got %v, want %v", err, verr)
+			}
+			b, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Parse(s.Name, b); err == nil || err.Error() != verr.Error() {
+				t.Errorf("Parse: got %v, want %v", err, verr)
+			}
+		})
 	}
 }
