@@ -40,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -146,7 +145,8 @@ type resolved struct {
 }
 
 // resolve fills the host's capacity fields from its machine model and
-// validates the result. The catalog is passed in because fleet-scale
+// checks them. Its VMs are checked by Config.check, the one pass that
+// resolves every host. The catalog is passed in because fleet-scale
 // configs resolve thousands of hosts per run and hw.Catalog builds a
 // fresh map per call.
 func (h Host) resolve(cat map[string]hw.MachineSpec) (resolved, error) {
@@ -183,16 +183,6 @@ func (h Host) resolve(cat map[string]hw.MachineSpec) (resolved, error) {
 		return out, fmt.Errorf("cluster: host %s has no memory (set Machine or MemBytes)", h.Name)
 	case out.IdlePower <= 0:
 		return out, fmt.Errorf("cluster: host %s has no idle power (set Machine or IdlePower)", h.Name)
-	}
-	seen := map[string]bool{}
-	for _, v := range h.VMs {
-		if err := v.Validate(); err != nil {
-			return out, err
-		}
-		if seen[v.Name] {
-			return out, fmt.Errorf("cluster: duplicate VM %q on host %s", v.Name, h.Name)
-		}
-		seen[v.Name] = true
 	}
 	return out, nil
 }
@@ -283,95 +273,142 @@ type Config struct {
 	simOverride func(sim.Scenario) (*sim.RunResult, error)
 }
 
-// Validate rejects unusable configurations. It is called by Run; callers
-// that assemble configs from external data (scenario files) call it
-// directly for early, pathed errors.
+// Validate rejects unusable configurations. Run performs the same
+// checks; callers that assemble configs from external data (scenario
+// files) call it directly for early, pathed errors.
 func (c Config) Validate() error {
+	_, err := c.check()
+	return err
+}
+
+// checked is a configuration validated and resolved in one pass: every
+// host resolved, in config order, plus the name indexes the checks
+// need. The engine is built from it.
+type checked struct {
+	hosts []resolved
+	// hostAt maps a host name to its index in hosts; vmAt maps a VM
+	// name to the index of its host.
+	hostAt map[string]int32
+	vmAt   map[string]int32
+}
+
+// sw returns a known host's link domain.
+func (k *checked) sw(host string) string { return k.hosts[k.hostAt[host]].sw }
+
+func (k *checked) hasHost(name string) bool { _, ok := k.hostAt[name]; return ok }
+
+func (k *checked) hasVM(name string) bool { _, ok := k.vmAt[name]; return ok }
+
+// check validates the configuration and resolves every host in one
+// pass. Validate and Run share it, so both report the same first error.
+func (c Config) check() (*checked, error) {
 	if len(c.Hosts) == 0 {
-		return errors.New("cluster: no hosts")
+		return nil, errors.New("cluster: no hosts")
 	}
 	if c.Kind != migration.Live && c.Kind != migration.NonLive {
-		return fmt.Errorf("cluster: unsupported migration kind %v (want live or non-live)", c.Kind)
+		return nil, fmt.Errorf("cluster: unsupported migration kind %v (want live or non-live)", c.Kind)
 	}
 	if c.Pair != "" {
 		src, dst, err := hw.Pair(c.Pair)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Every move lowers onto this one pair, so it must be physically
 		// linkable or no move can ever simulate.
 		if src.Switch != dst.Switch {
-			return fmt.Errorf("cluster: pair %q spans switches %q and %q and cannot migrate", c.Pair, src.Switch, dst.Switch)
+			return nil, fmt.Errorf("cluster: pair %q spans switches %q and %q and cannot migrate", c.Pair, src.Switch, dst.Switch)
 		}
 	}
 	cat := hw.Catalog()
-	names := make(map[string]bool, len(c.Hosts))
-	switches := make(map[string]string, len(c.Hosts)) // declared link-contention domain
-	physical := make(map[string]string, len(c.Hosts)) // the machine model's physical switch
-	vms := map[string]bool{}
+	nvms := 0
 	for _, h := range c.Hosts {
+		nvms += len(h.VMs)
+	}
+	k := &checked{
+		hosts:  make([]resolved, len(c.Hosts)),
+		hostAt: make(map[string]int32, len(c.Hosts)),
+		vmAt:   make(map[string]int32, nvms),
+	}
+	for i, h := range c.Hosts {
+		hi := int32(i)
 		r, err := h.resolve(cat)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		// A VM's first sighting claims its name for its host; a repeat on
+		// the same host is a local duplicate. A name an earlier host
+		// already claimed is reported below, after the host's own checks,
+		// unless this host repeats it too.
+		for j, v := range h.VMs {
+			if err := v.Validate(); err != nil {
+				return nil, err
+			}
+			at, seen := k.vmAt[v.Name]
+			if !seen {
+				k.vmAt[v.Name] = hi
+			} else if at == hi || namesVM(h.VMs[:j], v.Name) {
+				return nil, fmt.Errorf("cluster: duplicate VM %q on host %s", v.Name, h.Name)
+			}
 		}
 		if c.Pair == "" && h.Machine == "" {
-			return fmt.Errorf("cluster: host %s needs a machine model (or set Config.Pair to lower every move onto one testbed pair)", h.Name)
+			return nil, fmt.Errorf("cluster: host %s needs a machine model (or set Config.Pair to lower every move onto one testbed pair)", h.Name)
 		}
-		if names[r.Name] {
-			return fmt.Errorf("cluster: duplicate host %q", r.Name)
+		if k.hostAt[r.Name] = hi; len(k.hostAt) != i+1 {
+			return nil, fmt.Errorf("cluster: duplicate host %q", r.Name)
 		}
-		names[r.Name] = true
-		switches[r.Name] = r.sw
-		// A Switch override changes the contention domain, not the
-		// physics: without a Pair override, a move still simulates on the
-		// machine models, whose catalog switches netsim enforces. Track
-		// them separately so an override cannot smuggle an unlinkable
-		// pair past the reachability guards below.
-		physical[r.Name] = r.sw
-		if c.Pair == "" {
-			physical[r.Name] = cat[h.Machine].Switch
-		}
+		k.hosts[i] = r
 		for _, v := range h.VMs {
-			if vms[v.Name] {
-				return fmt.Errorf("cluster: VM %q appears on two hosts", v.Name)
+			if k.vmAt[v.Name] != hi {
+				return nil, fmt.Errorf("cluster: VM %q appears on two hosts", v.Name)
 			}
-			vms[v.Name] = true
 			if c.Serial && len(v.Phases) > 0 {
-				return fmt.Errorf("cluster: VM %q has phases; serial timelines are time-invariant", v.Name)
+				return nil, fmt.Errorf("cluster: VM %q has phases; serial timelines are time-invariant", v.Name)
 			}
 			// Policy snapshots name in-flight destination reservations
 			// "<vm>+incoming" in the same namespace as real VMs; a real VM
 			// wearing that suffix would silently alias a reservation (and
 			// its pin).
 			if c.Policy != nil && strings.HasSuffix(v.Name, "+incoming") {
-				return fmt.Errorf("cluster: VM name %q ends in \"+incoming\", which is reserved for in-flight reservations in policy timelines", v.Name)
+				return nil, fmt.Errorf("cluster: VM name %q ends in \"+incoming\", which is reserved for in-flight reservations in policy timelines", v.Name)
 			}
 		}
 	}
+	// A Switch override changes the contention domain, not the physics:
+	// without a Pair override, a move still simulates on the machine
+	// models, whose catalog switches netsim enforces. Check them
+	// separately so an override cannot smuggle an unlinkable pair past
+	// the reachability guards below.
+	physical := func(i int32) string {
+		if c.Pair == "" {
+			return cat[k.hosts[i].Machine].Switch
+		}
+		return k.hosts[i].sw
+	}
+	declared := func(i int32) string { return k.hosts[i].sw }
 	if c.Policy != nil {
 		switch {
 		case len(c.Moves) > 0:
-			return errors.New("cluster: a policy and explicit moves are mutually exclusive")
+			return nil, errors.New("cluster: a policy and explicit moves are mutually exclusive")
 		case c.Serial:
-			return errors.New("cluster: serial execution needs an explicit move list, not a policy")
+			return nil, errors.New("cluster: serial execution needs an explicit move list, not a policy")
 		case c.Tick <= 0:
-			return errors.New("cluster: a policy needs a positive tick period")
+			return nil, errors.New("cluster: a policy needs a positive tick period")
 		case c.Horizon <= 0:
-			return errors.New("cluster: a policy needs a positive horizon")
+			return nil, errors.New("cluster: a policy needs a positive horizon")
 		case len(c.Hosts) < 2:
-			return errors.New("cluster: planning needs at least two hosts")
+			return nil, errors.New("cluster: planning needs at least two hosts")
 		}
 		// The built-in policies are topology-blind: on a mixed-switch
 		// population they would eventually plan a cross-switch move and
 		// abort the whole timeline mid-run. Refuse up front — for the
 		// declared domains and the physical ones alike; cross-switch
 		// routing is a planned extension (see ROADMAP).
-		for _, domain := range []map[string]string{switches, physical} {
-			first := domain[c.Hosts[0].Name]
-			for _, h := range c.Hosts[1:] {
-				if sw := domain[h.Name]; sw != first {
-					return fmt.Errorf("cluster: policy-driven timelines need all hosts on one switch; %s is on %q, %s on %q",
-						c.Hosts[0].Name, first, h.Name, sw)
+		for _, domain := range []func(int32) string{declared, physical} {
+			first := domain(0)
+			for i := range c.Hosts[1:] {
+				if sw := domain(int32(i + 1)); sw != first {
+					return nil, fmt.Errorf("cluster: policy-driven timelines need all hosts on one switch; %s is on %q, %s on %q",
+						c.Hosts[0].Name, first, c.Hosts[i+1].Name, sw)
 				}
 			}
 		}
@@ -380,50 +417,45 @@ func (c Config) Validate() error {
 	for i, m := range c.Moves {
 		switch {
 		case m.VM == "":
-			return fmt.Errorf("cluster: move %d has no VM", i)
+			return nil, fmt.Errorf("cluster: move %d has no VM", i)
 		case dispatched[m.VM][m.At]:
-			return fmt.Errorf("cluster: move %d dispatches VM %q twice at %v", i, m.VM, m.At)
-		case !vms[m.VM]:
-			return fmt.Errorf("cluster: move %d references unknown VM %q", i, m.VM)
-		case !names[m.From]:
-			return fmt.Errorf("cluster: move %d references unknown host %q", i, m.From)
-		case !names[m.To]:
-			return fmt.Errorf("cluster: move %d references unknown host %q", i, m.To)
+			return nil, fmt.Errorf("cluster: move %d dispatches VM %q twice at %v", i, m.VM, m.At)
+		case !k.hasVM(m.VM):
+			return nil, fmt.Errorf("cluster: move %d references unknown VM %q", i, m.VM)
+		case !k.hasHost(m.From):
+			return nil, fmt.Errorf("cluster: move %d references unknown host %q", i, m.From)
+		case !k.hasHost(m.To):
+			return nil, fmt.Errorf("cluster: move %d references unknown host %q", i, m.To)
 		case m.From == m.To:
-			return fmt.Errorf("cluster: move %d does not change hosts (%q)", i, m.From)
+			return nil, fmt.Errorf("cluster: move %d does not change hosts (%q)", i, m.From)
 		case m.At < 0:
-			return fmt.Errorf("cluster: move %d starts before the timeline (%v)", i, m.At)
+			return nil, fmt.Errorf("cluster: move %d starts before the timeline (%v)", i, m.At)
 		case c.Serial && m.At != 0:
-			return fmt.Errorf("cluster: move %d has a start time; serial timelines derive their own", i)
-		case switches[m.From] != switches[m.To]:
-			return fmt.Errorf("cluster: move %d has no migration path from %s (%s) to %s (%s): different switches",
-				i, m.From, switches[m.From], m.To, switches[m.To])
-		case physical[m.From] != physical[m.To]:
-			return fmt.Errorf("cluster: move %d has no physical migration path from %s (machine switch %q) to %s (machine switch %q)",
-				i, m.From, physical[m.From], m.To, physical[m.To])
+			return nil, fmt.Errorf("cluster: move %d has a start time; serial timelines derive their own", i)
+		case k.sw(m.From) != k.sw(m.To):
+			return nil, fmt.Errorf("cluster: move %d has no migration path from %s (%s) to %s (%s): different switches",
+				i, m.From, k.sw(m.From), m.To, k.sw(m.To))
+		case physical(k.hostAt[m.From]) != physical(k.hostAt[m.To]):
+			return nil, fmt.Errorf("cluster: move %d has no physical migration path from %s (machine switch %q) to %s (machine switch %q)",
+				i, m.From, physical(k.hostAt[m.From]), m.To, physical(k.hostAt[m.To]))
 		}
 		if dispatched[m.VM] == nil {
 			dispatched[m.VM] = map[time.Duration]bool{}
 		}
 		dispatched[m.VM][m.At] = true
 	}
-	return c.validateFailures(names, vms, switches)
+	if err := c.validateFailures(k); err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
-// sortedHosts returns the resolved hosts in name order.
-func (c Config) sortedHosts() ([]*resolved, error) {
-	cat := hw.Catalog()
-	out := make([]*resolved, 0, len(c.Hosts))
-	for _, h := range c.Hosts {
-		r, err := h.resolve(cat)
-		if err != nil {
-			return nil, err
+// namesVM reports whether a VM list names the given VM.
+func namesVM(vms []VM, name string) bool {
+	for _, v := range vms {
+		if v.Name == name {
+			return true
 		}
-		r.VMs = append([]VM(nil), h.VMs...)
-		sort.Slice(r.VMs, func(i, j int) bool { return r.VMs[i].Name < r.VMs[j].Name })
-		rr := r
-		out = append(out, &rr)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return false
 }

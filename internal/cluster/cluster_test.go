@@ -60,6 +60,19 @@ func TestValidate(t *testing.T) {
 		}, "needs a machine model"},
 		{"dup host", func(c *Config) { c.Hosts[1].Name = "h00" }, "duplicate host"},
 		{"dup vm", func(c *Config) { c.Hosts[1].VMs = []VM{vmSpec("a", 1, 0)} }, "two hosts"},
+		{"dup vm on one host", func(c *Config) {
+			c.Hosts[1].VMs = []VM{vmSpec("b", 1, 0), vmSpec("b", 1, 0)}
+		}, `duplicate VM "b" on host h01`},
+		{"dup vm on one host and an earlier one", func(c *Config) {
+			c.Hosts[1].VMs = []VM{vmSpec("a", 1, 0), vmSpec("a", 1, 0)}
+		}, `duplicate VM "a" on host h01`},
+		{"host checks precede the cross-host vm check", func(c *Config) {
+			c.Hosts[1].Machine = ""
+			c.Hosts[1].Threads = 8
+			c.Hosts[1].MemBytes = gib(8)
+			c.Hosts[1].IdlePower = 100
+			c.Hosts[1].VMs = []VM{vmSpec("a", 1, 0)}
+		}, "host h01 needs a machine model"},
 		{"unknown move vm", func(c *Config) { c.Moves[0].VM = "ghost" }, "unknown VM"},
 		{"unknown move host", func(c *Config) { c.Moves[0].To = "h99" }, "unknown host"},
 		{"same host move", func(c *Config) { c.Moves[0].To = "h00" }, "does not change hosts"},

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/consolidation"
@@ -235,9 +237,6 @@ type dispatchResult struct {
 // report. The result is bit-identical across runs, worker counts and
 // cache settings.
 func Run(cfg Config) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -248,11 +247,20 @@ func Run(cfg Config) (*Report, error) {
 	return e.run()
 }
 
+// newEngine validates the configuration and builds the engine from the
+// same pass (Config.check): hosts in name order, each host's residents
+// in name order. Runtime hosts and guests are carved from one slab
+// each.
 func newEngine(cfg Config) (*engine, error) {
-	hosts, err := cfg.sortedHosts()
+	k, err := cfg.check()
 	if err != nil {
 		return nil, err
 	}
+	order := make([]int32, len(k.hosts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(k.hosts[a].Name, k.hosts[b].Name) })
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -261,21 +269,37 @@ func newEngine(cfg Config) (*engine, error) {
 		cfg:      cfg,
 		ctx:      ctx,
 		done:     ctx.Done(),
-		byName:   make(map[string]*hostRT, len(hosts)),
-		vms:      make(map[string]*vmRT),
+		hosts:    make([]*hostRT, 0, len(order)),
+		byName:   make(map[string]*hostRT, len(order)),
+		vms:      make(map[string]*vmRT, len(k.vmAt)),
 		rep:      &Report{},
 		timed:    flightHeap{key: dueKey},
 		switches: make(map[string]*swState),
 	}
-	for _, r := range hosts {
-		h := &hostRT{resolved: r, vi: int32(len(e.hosts))}
-		for _, v := range r.VMs {
-			vr := &vmRT{VM: v, host: h, phased: len(v.Phases) > 0}
+	hostSlab := make([]hostRT, len(order))
+	vmSlab := make([]vmRT, len(k.vmAt))
+	vmPtrs := make([]*vmRT, len(k.vmAt))
+	for _, ci := range order {
+		r := &k.hosts[ci]
+		h := &hostSlab[len(e.hosts)]
+		h.resolved, h.vi = r, int32(len(e.hosts))
+		if n := len(r.VMs); n > 0 {
+			// Capped, so a guest landing here later reallocates instead
+			// of overwriting the next host's residents.
+			h.vms, vmPtrs = vmPtrs[:n:n], vmPtrs[n:]
+			for j, v := range r.VMs {
+				vr := &vmSlab[j]
+				*vr = vmRT{VM: v, host: h, phased: len(v.Phases) > 0}
+				h.vms[j] = vr
+			}
+			vmSlab = vmSlab[n:]
+			slices.SortFunc(h.vms, func(a, b *vmRT) int { return strings.Compare(a.Name, b.Name) })
+		}
+		for _, vr := range h.vms {
 			if vr.phased {
 				h.phasedRes++
 			}
-			h.vms = append(h.vms, vr)
-			e.vms[v.Name] = vr
+			e.vms[vr.Name] = vr
 		}
 		e.hosts = append(e.hosts, h)
 		e.byName[h.Name] = h

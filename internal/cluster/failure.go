@@ -371,11 +371,11 @@ func (e *engine) buildPowerTrace() {
 }
 
 // validateFailures rejects unusable failure schedules against the
-// already-resolved host, VM and switch-domain sets. Beyond per-event
+// already-resolved hosts and VMs. Beyond per-event
 // shape checks it simulates the event order to refuse double crashes,
 // unpaired outage windows, and explicit moves that statically must fail
 // at dispatch (to a crashed host, or onto a downed switch).
-func (c Config) validateFailures(hosts, vms map[string]bool, switches map[string]string) error {
+func (c Config) validateFailures(k *checked) error {
 	if c.EvacuationDeadline < 0 {
 		return fmt.Errorf("cluster: negative evacuation deadline %v", c.EvacuationDeadline)
 	}
@@ -385,9 +385,9 @@ func (c Config) validateFailures(hosts, vms map[string]bool, switches map[string
 	if c.Serial {
 		return errors.New("cluster: serial timelines cannot inject failures (no concurrent flights to fail)")
 	}
-	domains := make(map[string]bool, len(switches))
-	for _, sw := range switches {
-		domains[sw] = true
+	domains := map[string]bool{}
+	for i := range k.hosts {
+		domains[k.hosts[i].sw] = true
 	}
 	for i, ev := range c.Failures {
 		if ev.At < 0 {
@@ -398,14 +398,14 @@ func (c Config) validateFailures(hosts, vms map[string]bool, switches map[string
 			switch {
 			case ev.Host == "" || ev.VM != "" || ev.Switch != "":
 				return fmt.Errorf("cluster: failure %d (%s) must target exactly one host", i, ev.Kind)
-			case !hosts[ev.Host]:
+			case !k.hasHost(ev.Host):
 				return fmt.Errorf("cluster: failure %d crashes unknown host %q", i, ev.Host)
 			}
 		case FailFlightAbort:
 			switch {
 			case ev.VM == "" || ev.Host != "" || ev.Switch != "":
 				return fmt.Errorf("cluster: failure %d (%s) must target exactly one VM", i, ev.Kind)
-			case !vms[ev.VM]:
+			case !k.hasVM(ev.VM):
 				return fmt.Errorf("cluster: failure %d aborts unknown VM %q", i, ev.VM)
 			}
 		case FailSwitchOutage, FailSwitchRestore:
@@ -460,10 +460,10 @@ func (c Config) validateFailures(hosts, vms map[string]bool, switches map[string
 		if at, dead := crashAt[m.To]; dead && m.At >= at {
 			return fmt.Errorf("cluster: move %d dispatches %q to host %q after it crashes at %v", i, m.VM, m.To, at)
 		}
-		for _, w := range outages[switches[m.To]] {
+		for _, w := range outages[k.sw(m.To)] {
 			if m.At >= w[0] && m.At < w[1] {
 				return fmt.Errorf("cluster: move %d dispatches %q at %v, inside an outage of switch %q starting at %v",
-					i, m.VM, m.At, switches[m.To], w[0])
+					i, m.VM, m.At, k.sw(m.To), w[0])
 			}
 		}
 	}

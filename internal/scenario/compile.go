@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/consolidation"
 	"repro/internal/dcsim"
+	"repro/internal/migration"
 	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/vm"
@@ -80,14 +81,15 @@ type Compiled struct {
 // result is deterministic: the same spec compiles to the same scenarios
 // — and therefore the same run-cache keys — in every session.
 func (s *Spec) Compile() (*Compiled, error) {
-	if err := s.Validate(); err != nil {
+	cfg, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
 	if s.Datacenter != nil {
 		return s.compileDatacenter()
 	}
-	if s.Cluster != nil {
-		return s.compileCluster()
+	if cfg != nil {
+		return s.compileCluster(*cfg), nil
 	}
 	base, err := s.baseScenario()
 	if err != nil {
@@ -251,17 +253,15 @@ func (s *Spec) compileDatacenter() (*Compiled, error) {
 	return &Compiled{Spec: s, Plan: pr}, nil
 }
 
-// clusterConfig lowers the cluster form into the engine's Config. The
-// result is deterministic: the same spec lowers to the same timeline —
-// and the same lowered migration scenarios, the run-cache keys — in
-// every session.
-func (s *Spec) clusterConfig() (cluster.Config, error) {
-	kind, err := s.kind()
-	if err != nil {
-		return cluster.Config{}, errf(s.Name, "kind", "%v", err)
-	}
+// clusterConfig assembles the engine's Config around the already
+// expanded and lowered hosts (see expandCluster). The result is
+// deterministic: the same spec lowers to the same timeline — and the
+// same lowered migration scenarios, the run-cache keys — in every
+// session. Validation has vetted every field it reads.
+func (s *Spec) clusterConfig(kind migration.Kind, hosts []cluster.Host) cluster.Config {
 	c := s.Cluster
 	cfg := cluster.Config{
+		Hosts:   hosts,
 		Kind:    kind,
 		Horizon: time.Duration(c.HorizonS * float64(time.Second)),
 		Tick:    time.Duration(c.TickS * float64(time.Second)),
@@ -272,32 +272,11 @@ func (s *Spec) clusterConfig() (cluster.Config, error) {
 		cfg.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
 	case PolicyFirstFit:
 		cfg.Policy = consolidation.FirstFitDecreasing{Model: consolidation.HeuristicCost{}}
-	case "":
-	default:
-		return cluster.Config{}, errf(s.Name, "cluster.policy", "unknown policy %q", c.Policy)
 	}
 	cfg.PolicyConfig = consolidation.Config{
 		CPUCap:   c.CPUCap,
 		MaxMoves: c.MaxMoves,
 		Horizon:  time.Duration(c.PaybackS * float64(time.Second)),
-	}
-	hosts, _ := s.expandedClusterHosts()
-	cfg.Hosts = make([]cluster.Host, 0, len(hosts))
-	for _, h := range hosts {
-		ch := cluster.Host{Name: h.Name, Machine: h.Machine}
-		for _, v := range h.VMs {
-			cv := cluster.VM{
-				Name:       v.Name,
-				MemBytes:   gib(v.MemGiB),
-				BusyVCPUs:  v.BusyVCPUs,
-				DirtyRatio: units.Fraction(v.DirtyRatio),
-			}
-			for _, p := range v.Phases {
-				cv.Phases = append(cv.Phases, p.phase())
-			}
-			ch.VMs = append(ch.VMs, cv)
-		}
-		cfg.Hosts = append(cfg.Hosts, ch)
 	}
 	for _, m := range c.Moves {
 		cfg.Moves = append(cfg.Moves, cluster.TimedMove{
@@ -315,18 +294,14 @@ func (s *Spec) clusterConfig() (cluster.Config, error) {
 		})
 	}
 	cfg.EvacuationDeadline = time.Duration(c.EvacuationDeadlineS * float64(time.Second))
-	return cfg, nil
+	return cfg
 }
 
-// compileCluster lowers the cluster form of the spec.
-func (s *Spec) compileCluster() (*Compiled, error) {
-	cfg, err := s.clusterConfig()
-	if err != nil {
-		return nil, err
-	}
+// compileCluster wraps the validated, lowered cluster config.
+func (s *Spec) compileCluster(cfg cluster.Config) *Compiled {
 	policy := "timeline"
 	if cfg.Policy != nil {
 		policy = cfg.Policy.Name()
 	}
-	return &Compiled{Spec: s, Cluster: &ClusterRun{Policy: policy, Config: cfg}}, nil
+	return &Compiled{Spec: s, Cluster: &ClusterRun{Policy: policy, Config: cfg}}
 }

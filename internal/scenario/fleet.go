@@ -5,9 +5,12 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/hw"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -29,9 +32,14 @@ func (c *ClusterSpec) hostCount() int {
 	return n
 }
 
-// replicaSuffix formats the deterministic replica name suffix.
-func replicaSuffix(i int) string {
-	return fmt.Sprintf("-%04d", i)
+// appendReplicaSuffix appends replica i's deterministic name suffix:
+// a dash and the index zero-padded to at least four digits ("-0042").
+func appendReplicaSuffix(b []byte, i int) []byte {
+	b = append(b, '-')
+	for d := 1000; d > 1 && i < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(i), 10)
 }
 
 // fleetJitter derives replica i's phase lead-in, in whole seconds of
@@ -115,47 +123,180 @@ func (s *Spec) validateFleetGroups() error {
 	return nil
 }
 
-// expandedClusterHosts returns the cluster's concrete host population —
-// explicit hosts followed by every fleet replica — plus a parallel
-// field-path label per host for error reporting.
-func (s *Spec) expandedClusterHosts() ([]ClusterHostSpec, []string) {
+// hostAt locates one expanded host for error paths: explicit host i
+// (group < 0) or replica i of fleet group group. Path labels are
+// formatted only when an error is returned.
+type hostAt struct{ group, i int }
+
+func (a hostAt) String() string {
+	if a.group < 0 {
+		return fmt.Sprintf("cluster.hosts[%d]", a.i)
+	}
+	return fmt.Sprintf("cluster.fleet[%d].replica[%d]", a.group, a.i)
+}
+
+// vm labels VM vi of the host.
+func (a hostAt) vm(vi int) string { return fmt.Sprintf("%s.vms[%d]", a, vi) }
+
+// expansion is the cluster's single expansion walk: it visits the
+// concrete host population — explicit hosts followed by every fleet
+// replica — validates each host and VM under its per-replica field
+// path, and lowers it straight into the engine's host list. The name
+// sets it builds serve the move and failure checks afterwards.
+type expansion struct {
+	spec    *Spec
+	cat     map[string]hw.MachineSpec
+	hosts   []cluster.Host
+	hostSet map[string]bool
+	vmSet   map[string]bool
+	name    []byte // replica-name scratch
+}
+
+// expandCluster runs the expansion walk over the whole cluster.
+func (s *Spec) expandCluster() (*expansion, error) {
 	c := s.Cluster
-	hosts := make([]ClusterHostSpec, 0, c.hostCount())
-	paths := make([]string, 0, c.hostCount())
+	vms := 0
+	for _, h := range c.Hosts {
+		vms += len(h.VMs)
+	}
+	for _, g := range c.Fleet {
+		vms += g.Count * len(g.VMs)
+	}
+	x := &expansion{
+		spec:    s,
+		cat:     hw.Catalog(),
+		hosts:   make([]cluster.Host, 0, c.hostCount()),
+		hostSet: make(map[string]bool, c.hostCount()),
+		vmSet:   make(map[string]bool, vms),
+	}
 	for hi, h := range c.Hosts {
-		hosts = append(hosts, h)
-		paths = append(paths, fmt.Sprintf("cluster.hosts[%d]", hi))
+		at := hostAt{-1, hi}
+		if err := x.addHost(at, h.Name, h.Machine, len(h.VMs)); err != nil {
+			return nil, err
+		}
+		for vi := range h.VMs {
+			v := &h.VMs[vi]
+			if err := x.addVM(at, vi, v.Name, v, nil); err != nil {
+				return nil, err
+			}
+		}
 	}
 	seed := s.EffectiveSeed()
 	for gi, g := range c.Fleet {
 		for i := 0; i < g.Count; i++ {
-			suffix := replicaSuffix(i)
-			host := ClusterHostSpec{
-				Name:    g.Name + suffix,
-				Machine: g.Machine,
-				VMs:     make([]ClusterVMSpec, 0, len(g.VMs)),
+			at := hostAt{gi, i}
+			if err := x.addHost(at, x.replicaName(g.Name, i), g.Machine, len(g.VMs)); err != nil {
+				return nil, err
 			}
-			for _, v := range g.VMs {
-				rv := v
-				rv.Name = v.Name + suffix
-				rv.Phases = append([]PhaseSpec(nil), v.Phases...)
-				if g.PhaseJitterS >= 1 && len(rv.Phases) > 0 {
-					if lead := fleetJitter(seed, g.Name, i, int64(g.PhaseJitterS)); lead > 0 {
+			for vi := range g.VMs {
+				v := &g.VMs[vi]
+				var lead *PhaseSpec
+				if g.PhaseJitterS >= 1 && len(v.Phases) > 0 {
+					if d := fleetJitter(seed, g.Name, i, int64(g.PhaseJitterS)); d > 0 {
 						// Hold the timeline's entry intensity: a steady span
 						// at the first phase's position-0 factor.
-						rv.Phases = append([]PhaseSpec{{
+						lead = &PhaseSpec{
 							Name:      "lead-in",
 							Kind:      string(workload.PhaseSteady),
-							DurationS: float64(lead),
-							Level:     rv.Phases[0].phase().Factor(0),
-						}}, rv.Phases...)
+							DurationS: float64(d),
+							Level:     v.Phases[0].phase().Factor(0),
+						}
 					}
 				}
-				host.VMs = append(host.VMs, rv)
+				if err := x.addVM(at, vi, x.replicaName(v.Name, i), v, lead); err != nil {
+					return nil, err
+				}
 			}
-			hosts = append(hosts, host)
-			paths = append(paths, fmt.Sprintf("cluster.fleet[%d].replica[%d]", gi, i))
 		}
 	}
-	return hosts, paths
+	return x, nil
+}
+
+// replicaName names replica i of a template host or VM.
+func (x *expansion) replicaName(base string, i int) string {
+	x.name = appendReplicaSuffix(append(x.name[:0], base...), i)
+	return string(x.name)
+}
+
+// addHost checks one expanded host and appends it with room for its
+// VMs.
+func (x *expansion) addHost(at hostAt, name, machine string, vms int) error {
+	sname := x.spec.Name
+	if name == "" {
+		return errf(sname, at.String()+".name", "required")
+	}
+	// One map operation both claims the name and detects a repeat.
+	n := len(x.hostSet)
+	if x.hostSet[name] = true; len(x.hostSet) == n {
+		return errf(sname, at.String()+".name", "duplicate host %q", name)
+	}
+	if _, ok := x.cat[machine]; !ok {
+		models := make([]string, 0, len(x.cat))
+		for m := range x.cat {
+			models = append(models, m)
+		}
+		sort.Strings(models)
+		return errf(sname, at.String()+".machine", "unknown machine model %q (catalog: %s)", machine, strings.Join(models, ", "))
+	}
+	h := cluster.Host{Name: name, Machine: machine}
+	if vms > 0 {
+		h.VMs = make([]cluster.VM, 0, vms)
+	}
+	x.hosts = append(x.hosts, h)
+	return nil
+}
+
+// addVM checks one expanded VM — named name, with an optional lead-in
+// phase ahead of the template's own — and appends it, lowered, to the
+// last host.
+func (x *expansion) addVM(at hostAt, vi int, name string, v *ClusterVMSpec, lead *PhaseSpec) error {
+	sname := x.spec.Name
+	if name == "" {
+		return errf(sname, at.vm(vi)+".name", "required")
+	}
+	n := len(x.vmSet)
+	if x.vmSet[name] = true; len(x.vmSet) == n {
+		return errf(sname, at.vm(vi)+".name", "VM %q already exists in the cluster", name)
+	}
+	switch {
+	case v.MemGiB <= 0:
+		return errf(sname, at.vm(vi)+".mem_gib", "must be positive, got %v", v.MemGiB)
+	case v.BusyVCPUs < 0:
+		return errf(sname, at.vm(vi)+".busy_vcpus", "must be non-negative, got %v", v.BusyVCPUs)
+	case v.DirtyRatio < 0 || v.DirtyRatio > 1:
+		return errf(sname, at.vm(vi)+".dirty_ratio", "%v outside [0, 1]", v.DirtyRatio)
+	}
+	cv := cluster.VM{
+		Name:       name,
+		MemBytes:   gib(v.MemGiB),
+		BusyVCPUs:  v.BusyVCPUs,
+		DirtyRatio: units.Fraction(v.DirtyRatio),
+	}
+	if lead != nil || len(v.Phases) > 0 {
+		cv.Phases = make([]workload.Phase, 0, len(v.Phases)+1)
+		if lead != nil {
+			if err := x.addPhase(&cv, at, vi, *lead); err != nil {
+				return err
+			}
+		}
+		for _, p := range v.Phases {
+			if err := x.addPhase(&cv, at, vi, p); err != nil {
+				return err
+			}
+		}
+	}
+	h := &x.hosts[len(x.hosts)-1]
+	h.VMs = append(h.VMs, cv)
+	return nil
+}
+
+// addPhase checks the VM's next phase and appends it, lowered.
+func (x *expansion) addPhase(cv *cluster.VM, at hostAt, vi int, p PhaseSpec) error {
+	if err := p.validate(x.spec.Name, "", false); err != nil {
+		e := err.(*Error)
+		e.Path = fmt.Sprintf("%s.phases[%d]", at.vm(vi), len(cv.Phases)) + e.Path
+		return e
+	}
+	cv.Phases = append(cv.Phases, p.phase())
+	return nil
 }

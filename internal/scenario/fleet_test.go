@@ -3,9 +3,14 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/workload"
 )
 
 // fleetSpec builds a minimal valid fleet-template cluster spec.
@@ -29,12 +34,22 @@ func fleetSpec() *Spec {
 	}
 }
 
+// compiledHosts compiles a valid spec and returns its expanded hosts.
+func compiledHosts(t *testing.T, s *Spec) []cluster.Host {
+	t.Helper()
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatalf("compiling %s: %v", s.Name, err)
+	}
+	return c.Cluster.Config.Hosts
+}
+
 func TestFleetExpansion(t *testing.T) {
 	s := fleetSpec()
 	if err := s.Validate(); err != nil {
 		t.Fatalf("valid fleet spec rejected: %v", err)
 	}
-	hosts, paths := s.expandedClusterHosts()
+	hosts := compiledHosts(t, s)
 	if len(hosts) != 10 || s.Cluster.hostCount() != 10 {
 		t.Fatalf("expanded to %d hosts (hostCount %d), want 10", len(hosts), s.Cluster.hostCount())
 	}
@@ -44,30 +59,30 @@ func TestFleetExpansion(t *testing.T) {
 	if hosts[0].VMs[0].Name != "fe-0000" || hosts[9].VMs[0].Name != "low-0003" {
 		t.Errorf("VM names drifted: %s, %s", hosts[0].VMs[0].Name, hosts[9].VMs[0].Name)
 	}
-	if !strings.HasPrefix(paths[0], "cluster.fleet[0].replica[0]") {
-		t.Errorf("replica path label = %q", paths[0])
+	if got := (hostAt{0, 0}).String(); got != "cluster.fleet[0].replica[0]" {
+		t.Errorf("replica path label = %q", got)
 	}
 	// Jittered groups prepend a whole-second steady lead-in below the cap,
 	// holding the diurnal timeline's entry intensity.
 	jittered := 0
-	seenLead := map[float64]bool{}
+	seenLead := map[time.Duration]bool{}
 	for _, h := range hosts[:6] {
 		ph := h.VMs[0].Phases
 		switch len(ph) {
 		case 1: // zero jitter drawn — no lead-in
 		case 2:
 			lead := ph[0]
-			if lead.Kind != "steady" || lead.Name != "lead-in" {
+			if lead.Kind != workload.PhaseSteady || lead.Name != "lead-in" {
 				t.Fatalf("lead-in shape drifted: %+v", lead)
 			}
-			if lead.DurationS <= 0 || lead.DurationS >= 600 || lead.DurationS != float64(int64(lead.DurationS)) {
-				t.Errorf("lead-in duration %v outside (0, 600) whole seconds", lead.DurationS)
+			if lead.Duration <= 0 || lead.Duration >= 600*time.Second || lead.Duration%time.Second != 0 {
+				t.Errorf("lead-in duration %v outside (0, 600) whole seconds", lead.Duration)
 			}
-			if lead.Level != ph[1].phase().Factor(0) {
-				t.Errorf("lead-in level %v does not hold the entry factor %v", lead.Level, ph[1].phase().Factor(0))
+			if lead.Level != ph[1].Factor(0) {
+				t.Errorf("lead-in level %v does not hold the entry factor %v", lead.Level, ph[1].Factor(0))
 			}
 			jittered++
-			seenLead[lead.DurationS] = true
+			seenLead[lead.Duration] = true
 		default:
 			t.Fatalf("replica %s has %d phases", h.Name, len(ph))
 		}
@@ -81,8 +96,7 @@ func TestFleetExpansion(t *testing.T) {
 	}
 
 	// Deterministic: expansion is a pure function of the spec.
-	again, _ := fleetSpec().expandedClusterHosts()
-	if !reflect.DeepEqual(hosts, again) {
+	if again := compiledHosts(t, fleetSpec()); !reflect.DeepEqual(hosts, again) {
 		t.Error("two expansions of one spec differ")
 	}
 
@@ -90,28 +104,29 @@ func TestFleetExpansion(t *testing.T) {
 	// names.
 	reseeded := fleetSpec()
 	reseeded.Seed = 99991
-	rh, _ := reseeded.expandedClusterHosts()
+	rh := compiledHosts(t, reseeded)
 	if rh[0].Name != hosts[0].Name {
 		t.Error("seed changed replica names")
 	}
 	moved := false
 	for i := range rh[:6] {
 		a, b := hosts[i].VMs[0].Phases, rh[i].VMs[0].Phases
-		if len(a) != len(b) || (len(a) == 2 && a[0].DurationS != b[0].DurationS) {
+		if len(a) != len(b) || (len(a) == 2 && a[0].Duration != b[0].Duration) {
 			moved = true
 		}
 	}
 	if !moved {
 		t.Error("reseeding did not move any lead-in")
 	}
+}
 
-	// The expanded spec compiles into a runnable cluster config.
-	comp, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comp.Cluster.Config.Hosts) != 10 {
-		t.Errorf("compiled config has %d hosts, want 10", len(comp.Cluster.Config.Hosts))
+// TestReplicaSuffix pins the replica name suffix: a dash and the index
+// zero-padded to four digits, wider indices unpadded.
+func TestReplicaSuffix(t *testing.T) {
+	for _, i := range []int{0, 7, 42, 999, 1000, 9999, 10000, 131071} {
+		if got, want := string(appendReplicaSuffix([]byte("app"), i)), fmt.Sprintf("app-%04d", i); got != want {
+			t.Errorf("replica %d: suffix %q, want %q", i, got, want)
+		}
 	}
 }
 

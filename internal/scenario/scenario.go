@@ -3,8 +3,6 @@ package scenario
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -567,39 +565,50 @@ func validName(name string) bool {
 // Validate checks the spec exhaustively and returns the first failure as
 // a pathed *Error. A valid spec is guaranteed to Compile.
 func (s *Spec) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate returning, for a cluster spec, the lowered engine
+// config its checks built (nil for the other forms).
+func (s *Spec) validate() (*cluster.Config, error) {
 	name := s.Name
 	if s.Version != CurrentVersion {
-		return errf(name, "version", "unsupported version %d (this build reads version %d)", s.Version, CurrentVersion)
+		return nil, errf(name, "version", "unsupported version %d (this build reads version %d)", s.Version, CurrentVersion)
 	}
 	if !validName(s.Name) {
-		return errf(name, "name", "must be non-empty lowercase [a-z0-9._-], got %q", s.Name)
+		return nil, errf(name, "name", "must be non-empty lowercase [a-z0-9._-], got %q", s.Name)
 	}
 	src, dst, err := hw.Pair(s.pair())
 	if err != nil {
-		return errf(name, "pair", "%v", err)
+		return nil, errf(name, "pair", "%v", err)
 	}
 	// netsim will refuse a cross-switch link at run time; catch it here so
 	// the -check gate cannot green-light a scenario that can never run.
 	if src.Switch != dst.Switch {
-		return errf(name, "pair", "%s (%s) and %s (%s) are on different switches and cannot migrate", src.Name, src.Switch, dst.Name, dst.Switch)
+		return nil, errf(name, "pair", "%s (%s) and %s (%s) are on different switches and cannot migrate", src.Name, src.Switch, dst.Name, dst.Switch)
 	}
 	kind, err := s.kind()
 	if err != nil {
-		return errf(name, "kind", "%v", err)
+		return nil, errf(name, "kind", "%v", err)
 	}
 	if s.Seed < 0 {
-		return errf(name, "seed", "must be non-negative, got %d", s.Seed)
+		return nil, errf(name, "seed", "must be non-negative, got %d", s.Seed)
 	}
 	if s.Datacenter != nil && s.Cluster != nil {
-		return errf(name, "cluster", "mutually exclusive with \"datacenter\"; pick one form")
+		return nil, errf(name, "cluster", "mutually exclusive with \"datacenter\"; pick one form")
 	}
 	if s.Datacenter != nil {
-		return s.validateDatacenter(kind)
+		return nil, s.validateDatacenter(kind)
 	}
 	if s.Cluster != nil {
-		return s.validateCluster(kind)
+		cfg, err := s.validateCluster(kind)
+		if err != nil {
+			return nil, err
+		}
+		return &cfg, nil
 	}
-	return s.validateMigrationRun(name)
+	return nil, s.validateMigrationRun(name)
 }
 
 // validateMigrationRun checks the single-migration form of the spec.
@@ -782,186 +791,147 @@ const (
 	PolicyFirstFit    = "first-fit-decreasing"
 )
 
-// validateCluster checks the cluster form of the spec.
-func (s *Spec) validateCluster(kind migration.Kind) error {
+// validateCluster checks the cluster form of the spec and returns its
+// lowered engine config, built during the one expansion walk over the
+// fleet that the checks themselves need.
+func (s *Spec) validateCluster(kind migration.Kind) (cluster.Config, error) {
 	name := s.Name
 	if s.Pair != "" {
-		return errf(name, "pair", "unused in cluster scenarios (host machine models define the topology)")
+		return cluster.Config{}, errf(name, "pair", "unused in cluster scenarios (host machine models define the topology)")
 	}
 	if s.Migrating.Workload.Profile != "" || s.Migrating.Type != "" {
-		return errf(name, "migrating", "unused in cluster scenarios (the timeline's moves select the workloads)")
+		return cluster.Config{}, errf(name, "migrating", "unused in cluster scenarios (the timeline's moves select the workloads)")
 	}
 	if len(s.Phases) > 0 {
-		return errf(name, "phases", "unused in cluster scenarios (phase timelines live on the cluster's VMs)")
+		return cluster.Config{}, errf(name, "phases", "unused in cluster scenarios (phase timelines live on the cluster's VMs)")
 	}
 	if s.SourceLoadVMs != 0 || s.TargetLoadVMs != 0 {
-		return errf(name, "source_load_vms/target_load_vms", "unused in cluster scenarios (host load comes from the resident VMs)")
+		return cluster.Config{}, errf(name, "source_load_vms/target_load_vms", "unused in cluster scenarios (host load comes from the resident VMs)")
 	}
 	if s.LoadWorkload != nil {
-		return errf(name, "load_workload", "unused in cluster scenarios")
+		return cluster.Config{}, errf(name, "load_workload", "unused in cluster scenarios")
 	}
 	if s.Repeat != nil {
-		return errf(name, "repeat", "unused in cluster scenarios (each migration runs once)")
+		return cluster.Config{}, errf(name, "repeat", "unused in cluster scenarios (each migration runs once)")
 	}
 	if s.Meter != nil || s.Migration != nil || s.Timing != nil {
-		return errf(name, "meter/migration/timing", "unused in cluster scenarios")
+		return cluster.Config{}, errf(name, "meter/migration/timing", "unused in cluster scenarios")
 	}
 	if kind == migration.PostCopy {
-		return errf(name, "kind", "post-copy is not supported for cluster timelines")
+		return cluster.Config{}, errf(name, "kind", "post-copy is not supported for cluster timelines")
 	}
 	c := s.Cluster
 	if err := s.validateFleetGroups(); err != nil {
-		return err
+		return cluster.Config{}, err
 	}
 	if c.hostCount() == 0 {
-		return errf(name, "cluster.hosts", "required (directly or via \"fleet\" groups)")
+		return cluster.Config{}, errf(name, "cluster.hosts", "required (directly or via \"fleet\" groups)")
 	}
 	switch c.Policy {
 	case "", PolicyEnergyAware, PolicyFirstFit:
 	default:
-		return errf(name, "cluster.policy", "unknown policy %q (want %q or %q)", c.Policy, PolicyEnergyAware, PolicyFirstFit)
+		return cluster.Config{}, errf(name, "cluster.policy", "unknown policy %q (want %q or %q)", c.Policy, PolicyEnergyAware, PolicyFirstFit)
 	}
 	if c.HorizonS < 0 {
-		return errf(name, "cluster.horizon_s", "must be non-negative, got %v", c.HorizonS)
+		return cluster.Config{}, errf(name, "cluster.horizon_s", "must be non-negative, got %v", c.HorizonS)
 	}
 	if c.Policy == "" {
 		switch {
 		case len(c.Moves) == 0:
-			return errf(name, "cluster.moves", "required without a policy (an empty timeline measures nothing)")
+			return cluster.Config{}, errf(name, "cluster.moves", "required without a policy (an empty timeline measures nothing)")
 		case c.TickS != 0:
-			return errf(name, "cluster.tick_s", "needs a policy to tick")
+			return cluster.Config{}, errf(name, "cluster.tick_s", "needs a policy to tick")
 		case c.CPUCap != 0 || c.MaxMoves != 0 || c.PaybackS != 0:
-			return errf(name, "cluster.cpu_cap/max_moves/payback_s", "bound planning rounds and need a policy")
+			return cluster.Config{}, errf(name, "cluster.cpu_cap/max_moves/payback_s", "bound planning rounds and need a policy")
 		}
 	} else {
 		switch {
 		case len(c.Moves) > 0:
-			return errf(name, "cluster.moves", "mutually exclusive with a policy")
+			return cluster.Config{}, errf(name, "cluster.moves", "mutually exclusive with a policy")
 		case c.TickS <= 0:
-			return errf(name, "cluster.tick_s", "must be positive with a policy, got %v", c.TickS)
+			return cluster.Config{}, errf(name, "cluster.tick_s", "must be positive with a policy, got %v", c.TickS)
 		case c.HorizonS <= 0:
-			return errf(name, "cluster.horizon_s", "must be positive with a policy, got %v", c.HorizonS)
+			return cluster.Config{}, errf(name, "cluster.horizon_s", "must be positive with a policy, got %v", c.HorizonS)
 		case c.hostCount() < 2:
-			return errf(name, "cluster.hosts", "planning needs at least 2 hosts, got %d", c.hostCount())
+			return cluster.Config{}, errf(name, "cluster.hosts", "planning needs at least 2 hosts, got %d", c.hostCount())
 		case c.CPUCap < 0 || c.CPUCap > 1:
-			return errf(name, "cluster.cpu_cap", "%v outside [0, 1]", c.CPUCap)
+			return cluster.Config{}, errf(name, "cluster.cpu_cap", "%v outside [0, 1]", c.CPUCap)
 		case c.MaxMoves < 0:
-			return errf(name, "cluster.max_moves", "must be non-negative, got %d", c.MaxMoves)
+			return cluster.Config{}, errf(name, "cluster.max_moves", "must be non-negative, got %d", c.MaxMoves)
 		case c.PaybackS < 0:
-			return errf(name, "cluster.payback_s", "must be non-negative, got %v", c.PaybackS)
+			return cluster.Config{}, errf(name, "cluster.payback_s", "must be non-negative, got %v", c.PaybackS)
 		}
 	}
-	cat := hw.Catalog()
-	hosts, hostPaths := s.expandedClusterHosts()
-	hostSet := make(map[string]bool, len(hosts))
-	vmSet := make(map[string]bool)
-	for hi, h := range hosts {
-		path := hostPaths[hi]
-		if h.Name == "" {
-			return errf(name, path+".name", "required")
-		}
-		if hostSet[h.Name] {
-			return errf(name, path+".name", "duplicate host %q", h.Name)
-		}
-		hostSet[h.Name] = true
-		if _, ok := cat[h.Machine]; !ok {
-			models := make([]string, 0, len(cat))
-			for m := range cat {
-				models = append(models, m)
-			}
-			sort.Strings(models)
-			return errf(name, path+".machine", "unknown machine model %q (catalog: %s)", h.Machine, strings.Join(models, ", "))
-		}
-		for vi, v := range h.VMs {
-			vpath := fmt.Sprintf("%s.vms[%d]", path, vi)
-			switch {
-			case v.Name == "":
-				return errf(name, vpath+".name", "required")
-			case vmSet[v.Name]:
-				return errf(name, vpath+".name", "VM %q already exists in the cluster", v.Name)
-			case v.MemGiB <= 0:
-				return errf(name, vpath+".mem_gib", "must be positive, got %v", v.MemGiB)
-			case v.BusyVCPUs < 0:
-				return errf(name, vpath+".busy_vcpus", "must be non-negative, got %v", v.BusyVCPUs)
-			case v.DirtyRatio < 0 || v.DirtyRatio > 1:
-				return errf(name, vpath+".dirty_ratio", "%v outside [0, 1]", v.DirtyRatio)
-			}
-			vmSet[v.Name] = true
-			for pi, p := range v.Phases {
-				if err := p.validate(name, fmt.Sprintf("%s.phases[%d]", vpath, pi), false); err != nil {
-					return err
-				}
-			}
-		}
+	x, err := s.expandCluster()
+	if err != nil {
+		return cluster.Config{}, err
 	}
+	hostSet, vmSet := x.hostSet, x.vmSet
 	for mi, m := range c.Moves {
 		path := fmt.Sprintf("cluster.moves[%d]", mi)
 		switch {
 		case m.VM == "":
-			return errf(name, path+".vm", "required")
+			return cluster.Config{}, errf(name, path+".vm", "required")
 		case !vmSet[m.VM]:
-			return errf(name, path+".vm", "unknown VM %q", m.VM)
+			return cluster.Config{}, errf(name, path+".vm", "unknown VM %q", m.VM)
 		case !hostSet[m.From]:
-			return errf(name, path+".from", "unknown host %q", m.From)
+			return cluster.Config{}, errf(name, path+".from", "unknown host %q", m.From)
 		case !hostSet[m.To]:
-			return errf(name, path+".to", "unknown host %q", m.To)
+			return cluster.Config{}, errf(name, path+".to", "unknown host %q", m.To)
 		case m.From == m.To:
-			return errf(name, path+".to", "move must change hosts, both are %q", m.To)
+			return cluster.Config{}, errf(name, path+".to", "move must change hosts, both are %q", m.To)
 		case m.AtS < 0:
-			return errf(name, path+".at_s", "must be non-negative, got %v", m.AtS)
+			return cluster.Config{}, errf(name, path+".at_s", "must be non-negative, got %v", m.AtS)
 		}
 	}
 	for fi, f := range c.Failures {
 		path := fmt.Sprintf("cluster.failures[%d]", fi)
 		if f.AtS < 0 {
-			return errf(name, path+".at_s", "must be non-negative, got %v", f.AtS)
+			return cluster.Config{}, errf(name, path+".at_s", "must be non-negative, got %v", f.AtS)
 		}
 		switch cluster.FailureKind(f.Kind) {
 		case cluster.FailHostCrash:
 			switch {
 			case f.Host == "":
-				return errf(name, path+".host", "required for kind %q", f.Kind)
+				return cluster.Config{}, errf(name, path+".host", "required for kind %q", f.Kind)
 			case f.VM != "" || f.Switch != "":
-				return errf(name, path, "%q targets a host only", f.Kind)
+				return cluster.Config{}, errf(name, path, "%q targets a host only", f.Kind)
 			case !hostSet[f.Host]:
-				return errf(name, path+".host", "unknown host %q", f.Host)
+				return cluster.Config{}, errf(name, path+".host", "unknown host %q", f.Host)
 			}
 		case cluster.FailFlightAbort:
 			switch {
 			case f.VM == "":
-				return errf(name, path+".vm", "required for kind %q", f.Kind)
+				return cluster.Config{}, errf(name, path+".vm", "required for kind %q", f.Kind)
 			case f.Host != "" || f.Switch != "":
-				return errf(name, path, "%q targets a VM only", f.Kind)
+				return cluster.Config{}, errf(name, path, "%q targets a VM only", f.Kind)
 			case !vmSet[f.VM]:
-				return errf(name, path+".vm", "unknown VM %q", f.VM)
+				return cluster.Config{}, errf(name, path+".vm", "unknown VM %q", f.VM)
 			}
 		case cluster.FailSwitchOutage, cluster.FailSwitchRestore:
 			switch {
 			case f.Switch == "":
-				return errf(name, path+".switch", "required for kind %q", f.Kind)
+				return cluster.Config{}, errf(name, path+".switch", "required for kind %q", f.Kind)
 			case f.Host != "" || f.VM != "":
-				return errf(name, path, "%q targets a switch only", f.Kind)
+				return cluster.Config{}, errf(name, path, "%q targets a switch only", f.Kind)
 			}
 			// Switch-domain existence (and window pairing) is checked by
 			// the compiled config below.
 		default:
-			return errf(name, path+".kind", "unknown failure kind %q", f.Kind)
+			return cluster.Config{}, errf(name, path+".kind", "unknown failure kind %q", f.Kind)
 		}
 	}
 	if c.EvacuationDeadlineS < 0 {
-		return errf(name, "cluster.evacuation_deadline_s", "must be non-negative, got %v", c.EvacuationDeadlineS)
+		return cluster.Config{}, errf(name, "cluster.evacuation_deadline_s", "must be non-negative, got %v", c.EvacuationDeadlineS)
 	}
 	if c.EvacuationDeadlineS > 0 && len(c.Failures) == 0 {
-		return errf(name, "cluster.evacuation_deadline_s", "needs failures to score against")
+		return cluster.Config{}, errf(name, "cluster.evacuation_deadline_s", "needs failures to score against")
 	}
+	cfg := s.clusterConfig(kind, x.hosts)
 	// Belt and braces: the lowered cluster config must satisfy the
 	// engine's own validation too (switch topology, move targets, …).
-	cfg, err := s.clusterConfig()
-	if err != nil {
-		return err
-	}
 	if err := cfg.Validate(); err != nil {
-		return errf(name, "(compiled)", "%v", err)
+		return cluster.Config{}, errf(name, "(compiled)", "%v", err)
 	}
-	return nil
+	return cfg, nil
 }
