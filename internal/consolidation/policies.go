@@ -9,9 +9,10 @@ import (
 )
 
 // viewDrainScratch is the reusable working memory of EnergyAware's
-// tentative drains. One instance serves every drain of a PlanView call;
-// the epoch counter invalidates the per-host tentative deltas between
-// drains without clearing the arrays.
+// tentative drains, part of the View's workspace. The epoch counter
+// invalidates the per-host tentative deltas between drains — and
+// between planning calls, as it keeps counting — without clearing the
+// arrays.
 type viewDrainScratch struct {
 	epoch     int
 	tentEpoch []int
@@ -27,14 +28,6 @@ type viewDrainScratch struct {
 	moveDst     []int32 // target host index per move (avoids a name lookup at commit)
 }
 
-func newViewDrainScratch(n int) *viewDrainScratch {
-	return &viewDrainScratch{
-		tentEpoch: make([]int, n),
-		tentBusy:  make([]float64, n),
-		tentMem:   make([]units.Bytes, n),
-	}
-}
-
 // effective returns host j's busy/memory aggregates including this
 // drain's tentative placements. Tentative additions are applied
 // sequentially on top of the cached sum — the same left-to-right order
@@ -43,7 +36,7 @@ func (sc *viewDrainScratch) effective(w *vwork, j int32) (float64, units.Bytes) 
 	if sc.tentEpoch[j] == sc.epoch {
 		return sc.tentBusy[j], sc.tentMem[j]
 	}
-	return w.busy[j], w.mem[j]
+	return w.busyOf(j), w.memOf(j)
 }
 
 // add tentatively places a VM on host j for the rest of this drain.
@@ -96,7 +89,7 @@ func (p EnergyAware) PlanView(v *View, cfg Config) (*Plan, error) {
 
 func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	cfg = cfg.withDefaults()
-	w := newVwork(v)
+	w := v.work()
 	plan := &Plan{}
 	pinned := cfg.pinnedSet()
 
@@ -112,11 +105,12 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	// aggregates.
 	order := v.Order
 	if len(w.touched) > 0 {
-		order = append([]int32(nil), v.Order...)
+		w.order = append(w.order[:0], v.Order...)
+		order = w.order
 		sort.Slice(order, func(a, b int) bool {
 			i, j := order[a], order[b]
-			if w.busy[i] != w.busy[j] {
-				return w.busy[i] < w.busy[j]
+			if bi, bj := w.busyOf(i), w.busyOf(j); bi != bj {
+				return bi < bj
 			}
 			return v.HostName[i] < v.HostName[j]
 		})
@@ -135,17 +129,18 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	fastOK = fastOK && v.NameOrdered
 	var liveOrder []int32
 	if fastOK {
-		liveOrder = make([]int32, 0, len(order))
+		w.live = w.live[:0]
 		for _, j := range order {
-			if w.cnt[j] > 0 && !v.Down[j] {
-				liveOrder = append(liveOrder, j)
+			if w.cntOf(j) > 0 && !v.Down[j] {
+				w.live = append(w.live, j)
 			}
 		}
+		liveOrder = w.live
 	}
 
-	sc := newViewDrainScratch(v.hostCount())
+	sc := &w.drain
 	for _, si := range order {
-		if w.cnt[si] == 0 {
+		if w.cntOf(si) == 0 {
 			continue
 		}
 		// A crashed host draws no idle power: emptying it frees nothing,
@@ -246,11 +241,12 @@ func (p EnergyAware) evacuateView(w *vwork, cfg Config, plan *Plan, pinned map[s
 			if j == c.si || v.Down[j] {
 				continue
 			}
-			if w.busy[j]+c.vm.BusyVCPUs > float64(v.Threads[j])*cfg.CPUCap ||
-				w.mem[j]+c.vm.MemBytes > v.MemCap[j] {
+			busy := w.busyOf(j)
+			if busy+c.vm.BusyVCPUs > float64(v.Threads[j])*cfg.CPUCap ||
+				w.memOf(j)+c.vm.MemBytes > v.MemCap[j] {
 				continue
 			}
-			cost, err := p.Model.Cost(c.vm, w.busy[c.si]-c.vm.BusyVCPUs, w.busy[j])
+			cost, err := p.Model.Cost(c.vm, w.busyOf(c.si)-c.vm.BusyVCPUs, busy)
 			if err != nil {
 				return err
 			}
@@ -280,7 +276,7 @@ func (p EnergyAware) considerTarget(w *vwork, sc *viewDrainScratch, si, j int32,
 	if j < 0 || j == si {
 		return best, bestCost, nil
 	}
-	if w.cnt[j] == 0 || w.v.Down[j] {
+	if w.cntOf(j) == 0 || w.v.Down[j] {
 		return best, bestCost, nil
 	}
 	busy, mem := sc.effective(w, j)
@@ -342,13 +338,14 @@ func (p EnergyAware) drainView(w *vwork, si int32, cfg Config, movesSoFar int, s
 			// are bounded by the move budget and priced individually.
 			// (HeuristicCost's negative-load special case flattens the
 			// cost curve, so srcArg < 0 falls back to the linear scan.)
+			// Untouched hosts read their aggregates straight from the View.
 			cand := int32(-1)
 			for _, j := range liveOrder {
-				if j == si || w.cnt[j] == 0 || w.touchedMark[j] || sc.tentEpoch[j] == sc.epoch {
+				if j == si || w.touchedMark[j] || v.VMCount[j] == 0 || sc.tentEpoch[j] == sc.epoch {
 					continue
 				}
-				if w.busy[j]+vm.BusyVCPUs > float64(v.Threads[j])*cfg.CPUCap ||
-					w.mem[j]+vm.MemBytes > v.MemCap[j] {
+				if v.Busy[j]+vm.BusyVCPUs > float64(v.Threads[j])*cfg.CPUCap ||
+					v.Mem[j]+vm.MemBytes > v.MemCap[j] {
 					continue
 				}
 				cand = j
@@ -383,7 +380,7 @@ func (p EnergyAware) drainView(w *vwork, si int32, cfg Config, movesSoFar int, s
 				// consolidation. (Empty hosts never receive tentative adds,
 				// so the resident count needs no delta tracking.) Crashed
 				// hosts take no guests at all.
-				if w.cnt[j] == 0 || v.Down[j] {
+				if w.cntOf(j) == 0 || v.Down[j] {
 					continue
 				}
 				busy, mem := sc.effective(w, j)

@@ -50,12 +50,22 @@ type View struct {
 	// order-indexed target scan, whose tie-breaking by name must agree
 	// with the historical tie-breaking by index.
 	NameOrdered bool
+
+	// ws is the planners' reusable working memory, allocated by the
+	// first planning call (see vwork).
+	ws *vwork
 }
 
 // ViewPolicy is a Policy that can plan directly against a View. The
 // built-in policies implement it, and their classic Plan entry points
 // delegate through NewView, so both paths share one implementation and
 // produce bit-identical plans.
+//
+// A View carries the planners' working memory, reused across calls, so
+// one goroutine plans a given View at a time. The cluster engine plans
+// its one View from its event loop, and the classic Plan entry points
+// build a fresh View per call. A returned Plan shares no memory with
+// the View.
 type ViewPolicy interface {
 	Policy
 	PlanView(v *View, cfg Config) (*Plan, error)
@@ -123,83 +133,123 @@ func NewView(hosts []HostState) *View {
 	return v
 }
 
-// vwork is one PlanView invocation's working state: mutable aggregate
-// copies over a read-only View, with per-host VM lists materialized
-// lazily — only hosts a plan actually mutates ever copy their slots.
+// vwork is the planners' working memory over a read-only View: for
+// every host a plan mutates, an overlay of its aggregates and its
+// materialized VM list; every other host reads straight through to the
+// View. It lives on the View and is reused by every planning call,
+// reset in O(hosts the previous call touched) — so a planning round
+// allocates O(moves), not O(hosts).
 type vwork struct {
-	v    *View
+	v *View
+	// Overlays, valid only where touchedMark is set.
 	busy []float64
 	mem  []units.Bytes
 	cnt  []int32
-	// vms holds the materialized VM list of every mutated host; nil
-	// means the arena range is still current.
-	vms [][]VMState
-	// touched lists hosts whose aggregates differ from the snapshot
+	vms  [][]VMState
+	// touched lists hosts whose aggregates may differ from the View
 	// (evacuation targets and sources, drain commits); the order-indexed
 	// target scan must price them individually instead of trusting the
 	// snapshot order.
 	touched     []int32
 	touchedMark []bool
-	received    []bool
+	received    []bool // set only on touched hosts
+	// Per-call scratch.
+	order []int32 // drain order re-sorted after evacuations
+	live  []int32 // drain targets in busy order (see planView)
+	freed []int32 // freed host indices (see finishPlan)
+	drain viewDrainScratch
 }
 
-func newVwork(v *View) *vwork {
-	n := v.hostCount()
-	w := &vwork{
-		v:           v,
-		busy:        append([]float64(nil), v.Busy...),
-		mem:         append([]units.Bytes(nil), v.Mem...),
-		cnt:         append([]int32(nil), v.VMCount...),
-		vms:         make([][]VMState, n),
-		touchedMark: make([]bool, n),
-		received:    make([]bool, n),
+// work returns the View's planning workspace, reset for a new call.
+func (v *View) work() *vwork {
+	w := v.ws
+	if w == nil {
+		w = &vwork{}
+		v.ws = w
+	}
+	for _, i := range w.touched {
+		w.touchedMark[i] = false
+		w.received[i] = false
+	}
+	w.touched = w.touched[:0]
+	w.v = v
+	if n := v.hostCount(); len(w.touchedMark) < n {
+		w.busy = make([]float64, n)
+		w.mem = make([]units.Bytes, n)
+		w.cnt = make([]int32, n)
+		w.vms = make([][]VMState, n)
+		w.touchedMark = make([]bool, n)
+		w.received = make([]bool, n)
+		// Fresh epochs are 0; the drain epoch is at least 1 once a drain
+		// starts, so no stale tentative delta can match.
+		w.drain.tentEpoch = make([]int, n)
+		w.drain.tentBusy = make([]float64, n)
+		w.drain.tentMem = make([]units.Bytes, n)
 	}
 	return w
 }
 
-// touch marks host i as diverged from the snapshot.
-func (w *vwork) touch(i int32) {
+// busyOf, memOf and cntOf return host i's current aggregates.
+func (w *vwork) busyOf(i int32) float64 {
+	if w.touchedMark[i] {
+		return w.busy[i]
+	}
+	return w.v.Busy[i]
+}
+
+func (w *vwork) memOf(i int32) units.Bytes {
+	if w.touchedMark[i] {
+		return w.mem[i]
+	}
+	return w.v.Mem[i]
+}
+
+func (w *vwork) cntOf(i int32) int32 {
+	if w.touchedMark[i] {
+		return w.cnt[i]
+	}
+	return w.v.VMCount[i]
+}
+
+// vmsOf returns host i's current VM list. The first call of a planning
+// call marks the host touched: it materializes the list from the arena
+// and seeds the overlay from the View. Mutation paths only.
+func (w *vwork) vmsOf(i int32) []VMState {
 	if !w.touchedMark[i] {
 		w.touchedMark[i] = true
 		w.touched = append(w.touched, i)
-	}
-}
-
-// vmsOf returns host i's current VM list, materializing it from the
-// arena on first call. Mutation paths only.
-func (w *vwork) vmsOf(i int32) []VMState {
-	if w.vms[i] == nil {
-		s, n := w.v.VMStart[i], w.v.VMCount[i]
-		out := make([]VMState, 0, n)
-		for k := s; k < s+n; k++ {
-			out = append(out, w.v.vm(k))
-		}
-		w.vms[i] = out
+		w.vms[i] = w.v.appendVMs(w.vms[i][:0], i)
+		w.busy[i], w.mem[i], w.cnt[i] = w.v.Busy[i], w.v.Mem[i], w.v.VMCount[i]
 	}
 	return w.vms[i]
 }
 
-// appendVMs copies host i's current VM list into dst without
-// materializing an overlay.
-func (w *vwork) appendVMs(dst []VMState, i int32) []VMState {
-	if l := w.vms[i]; l != nil {
-		return append(dst, l...)
-	}
-	s, n := w.v.VMStart[i], w.v.VMCount[i]
+// appendVMs copies host i's arena range into dst.
+func (v *View) appendVMs(dst []VMState, i int32) []VMState {
+	s, n := v.VMStart[i], v.VMCount[i]
 	for k := s; k < s+n; k++ {
-		dst = append(dst, w.v.vm(k))
+		dst = append(dst, v.vm(k))
 	}
 	return dst
 }
 
+// appendVMs copies host i's current VM list into dst without touching
+// the host.
+func (w *vwork) appendVMs(dst []VMState, i int32) []VMState {
+	if w.touchedMark[i] {
+		return append(dst, w.vms[i]...)
+	}
+	return w.v.appendVMs(dst, i)
+}
+
 // hostHasPinned reports whether any of host i's VMs is pinned, without
-// materializing.
+// touching the host.
 func (w *vwork) hostHasPinned(i int32, pinned map[string]bool) bool {
 	if len(pinned) == 0 {
 		return false
 	}
-	if l := w.vms[i]; l != nil {
-		for _, g := range l {
+	if w.touchedMark[i] {
+		for _, g := range w.vms[i] {
 			if pinned[g.Name] {
 				return true
 			}
@@ -224,7 +274,6 @@ func (w *vwork) removeVM(i int32, name string) (VMState, bool) {
 	}
 	w.vms[i] = l
 	w.cnt[i] = int32(len(l))
-	w.touch(i)
 	w.recompute(i)
 	return g, true
 }
@@ -233,16 +282,15 @@ func (w *vwork) removeVM(i int32, name string) (VMState, bool) {
 func (w *vwork) addVM(i int32, g VMState) {
 	w.vms[i] = append(w.vmsOf(i), g)
 	w.cnt[i] = int32(len(w.vms[i]))
-	w.touch(i)
 	w.recompute(i)
 }
 
-// recompute refreshes host i's aggregates by re-summing its current VM
-// list in order (see the View invariant).
+// recompute refreshes touched host i's aggregates by re-summing its
+// current VM list in order (see the View invariant).
 func (w *vwork) recompute(i int32) {
 	busy := 0.0
 	var mem units.Bytes
-	for _, g := range w.vmsOf(i) {
+	for _, g := range w.vms[i] {
 		busy += g.BusyVCPUs
 		mem += g.MemBytes
 	}
@@ -250,15 +298,27 @@ func (w *vwork) recompute(i int32) {
 }
 
 // finishPlan computes the plan's aggregate fields from the working
-// state, exactly as finishPlan does for the AoS path.
+// state, exactly as finishPlan does for the AoS path. FreedHosts is a
+// fresh slice of exactly its length — the plan never aliases the
+// workspace — and already in name order when host index order is.
 func (w *vwork) finishPlan(plan *Plan) {
-	for i := range w.cnt {
-		if w.cnt[i] == 0 && !w.v.Down[i] {
-			plan.FreedHosts = append(plan.FreedHosts, w.v.HostName[i])
-			plan.IdleSavings += w.v.IdlePower[i]
+	v := w.v
+	w.freed = w.freed[:0]
+	for i := int32(0); i < int32(v.hostCount()); i++ {
+		if w.cntOf(i) == 0 && !v.Down[i] {
+			w.freed = append(w.freed, i)
 		}
 	}
-	sort.Strings(plan.FreedHosts)
+	if len(w.freed) > 0 {
+		plan.FreedHosts = make([]string, len(w.freed))
+		for k, i := range w.freed {
+			plan.FreedHosts[k] = v.HostName[i]
+			plan.IdleSavings += v.IdlePower[i]
+		}
+		if !v.NameOrdered {
+			sort.Strings(plan.FreedHosts)
+		}
+	}
 	for _, m := range plan.Moves {
 		plan.MigrationEnergy += m.Cost.Energy
 	}
