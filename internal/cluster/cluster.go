@@ -277,31 +277,34 @@ type Config struct {
 // checks; callers that assemble configs from external data (scenario
 // files) call it directly for early, pathed errors.
 func (c Config) Validate() error {
-	_, err := c.check()
+	_, err := c.check(false)
 	return err
 }
 
-// checked is a configuration validated and resolved in one pass: every
-// host resolved, in config order, plus the name indexes the checks
-// need. The engine is built from it.
+// checked is a configuration validated and resolved in one pass, in
+// config order: each host's link domain, the name indexes the checks
+// need and — for the engine, which is built from it — every host
+// resolved.
 type checked struct {
-	hosts []resolved
-	// hostAt maps a host name to its index in hosts; vmAt maps a VM
-	// name to the index of its host.
+	hosts []resolved // only when asked for
+	sws   []string
+	// hostAt maps a host name to its config index; vmAt maps a VM name
+	// to the config index of its host.
 	hostAt map[string]int32
 	vmAt   map[string]int32
 }
 
 // sw returns a known host's link domain.
-func (k *checked) sw(host string) string { return k.hosts[k.hostAt[host]].sw }
+func (k *checked) sw(host string) string { return k.sws[k.hostAt[host]] }
 
 func (k *checked) hasHost(name string) bool { _, ok := k.hostAt[name]; return ok }
 
 func (k *checked) hasVM(name string) bool { _, ok := k.vmAt[name]; return ok }
 
 // check validates the configuration and resolves every host in one
-// pass. Validate and Run share it, so both report the same first error.
-func (c Config) check() (*checked, error) {
+// pass. Validate and Run share it, so both report the same first error;
+// only Run keeps the resolved hosts, which Validate would drop.
+func (c Config) check(keepHosts bool) (*checked, error) {
 	if len(c.Hosts) == 0 {
 		return nil, errors.New("cluster: no hosts")
 	}
@@ -325,9 +328,12 @@ func (c Config) check() (*checked, error) {
 		nvms += len(h.VMs)
 	}
 	k := &checked{
-		hosts:  make([]resolved, len(c.Hosts)),
+		sws:    make([]string, len(c.Hosts)),
 		hostAt: make(map[string]int32, len(c.Hosts)),
 		vmAt:   make(map[string]int32, nvms),
+	}
+	if keepHosts {
+		k.hosts = make([]resolved, len(c.Hosts))
 	}
 	for i, h := range c.Hosts {
 		hi := int32(i)
@@ -356,7 +362,10 @@ func (c Config) check() (*checked, error) {
 		if k.hostAt[r.Name] = hi; len(k.hostAt) != i+1 {
 			return nil, fmt.Errorf("cluster: duplicate host %q", r.Name)
 		}
-		k.hosts[i] = r
+		k.sws[i] = r.sw
+		if keepHosts {
+			k.hosts[i] = r
+		}
 		for _, v := range h.VMs {
 			if k.vmAt[v.Name] != hi {
 				return nil, fmt.Errorf("cluster: VM %q appears on two hosts", v.Name)
@@ -380,11 +389,11 @@ func (c Config) check() (*checked, error) {
 	// the reachability guards below.
 	physical := func(i int32) string {
 		if c.Pair == "" {
-			return cat[k.hosts[i].Machine].Switch
+			return cat[c.Hosts[i].Machine].Switch
 		}
-		return k.hosts[i].sw
+		return k.sws[i]
 	}
-	declared := func(i int32) string { return k.hosts[i].sw }
+	declared := func(i int32) string { return k.sws[i] }
 	if c.Policy != nil {
 		switch {
 		case len(c.Moves) > 0:

@@ -252,7 +252,7 @@ func Run(cfg Config) (*Report, error) {
 // in name order. Runtime hosts and guests are carved from one slab
 // each.
 func newEngine(cfg Config) (*engine, error) {
-	k, err := cfg.check()
+	k, err := cfg.check(true)
 	if err != nil {
 		return nil, err
 	}

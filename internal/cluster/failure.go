@@ -386,8 +386,8 @@ func (c Config) validateFailures(k *checked) error {
 		return errors.New("cluster: serial timelines cannot inject failures (no concurrent flights to fail)")
 	}
 	domains := map[string]bool{}
-	for i := range k.hosts {
-		domains[k.hosts[i].sw] = true
+	for _, sw := range k.sws {
+		domains[sw] = true
 	}
 	for i, ev := range c.Failures {
 		if ev.At < 0 {

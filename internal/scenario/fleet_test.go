@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -287,5 +290,54 @@ func TestFleetErrorParity(t *testing.T) {
 				t.Errorf("Parse: got %v, want %v", err, verr)
 			}
 		})
+	}
+}
+
+// TestCompileAllocCeiling pins the allocation cost of parsing and
+// compiling the library's 100,000-host fleet: one expansion walk per
+// Validate or Compile, error-path labels formatted only on failure, and
+// one resolve pass in the lowered config's validation. The ceilings sit
+// about a fifth above the measured 302k allocations and 66 MB; expanding
+// the fleet once more, or formatting a label per host, blows through
+// them.
+func TestCompileAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race for the ceiling")
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "drain-100k-rolling.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func() {
+		s, err := Parse("drain-100k-rolling", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Cluster.Config.Hosts) != 100000 {
+			t.Fatalf("fixture drift: %d hosts", len(c.Cluster.Config.Hosts))
+		}
+	}
+	const allocCeiling = 360_000
+	allocs := testing.AllocsPerRun(3, compile)
+	t.Logf("%.0f allocations per Parse+Compile", allocs)
+	if allocs > allocCeiling {
+		t.Errorf("Parse+Compile allocates %.0f times, ceiling is %d", allocs, allocCeiling)
+	}
+	const byteCeiling = 76 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per Parse+Compile", perRun)
+	if perRun > byteCeiling {
+		t.Errorf("Parse+Compile allocates %d bytes, ceiling is %d", perRun, byteCeiling)
 	}
 }

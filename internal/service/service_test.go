@@ -550,13 +550,17 @@ func TestConcurrentChaosClients(t *testing.T) {
 }
 
 // waitGoroutines polls until the goroutine count settles back near the
-// baseline — the leak assertion behind the admission criteria.
+// baseline — the leak assertion behind the admission criteria. The
+// test client's idle keep-alive connections (a read and a write
+// goroutine each, plus the server's per-connection goroutine) are the
+// test's own, so they are closed before every count.
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		// Idle HTTP keep-alive and timer goroutines linger briefly;
-		// a small cushion keeps the check meaningful without flaking.
+		http.DefaultClient.CloseIdleConnections()
+		// Timer goroutines and closing connections linger briefly; a
+		// small cushion keeps the check meaningful without flaking.
 		if runtime.NumGoroutine() <= baseline+5 {
 			return
 		}
