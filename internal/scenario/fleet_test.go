@@ -297,7 +297,7 @@ func TestFleetErrorParity(t *testing.T) {
 // compiling the library's 100,000-host fleet: one expansion walk per
 // Validate or Compile, error-path labels formatted only on failure, and
 // one resolve pass in the lowered config's validation. The ceilings sit
-// about a fifth above the measured 302k allocations and 66 MB; expanding
+// about a fifth above the measured 302k allocations and 47 MB; expanding
 // the fleet once more, or formatting a label per host, blows through
 // them.
 func TestCompileAllocCeiling(t *testing.T) {
@@ -327,7 +327,7 @@ func TestCompileAllocCeiling(t *testing.T) {
 	if allocs > allocCeiling {
 		t.Errorf("Parse+Compile allocates %.0f times, ceiling is %d", allocs, allocCeiling)
 	}
-	const byteCeiling = 76 << 20
+	const byteCeiling = 54 << 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const runs = 3
