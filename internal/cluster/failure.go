@@ -371,10 +371,10 @@ func (e *engine) buildPowerTrace() {
 }
 
 // validateFailures rejects unusable failure schedules against the
-// already-resolved hosts and VMs. Beyond per-event
-// shape checks it simulates the event order to refuse double crashes,
-// unpaired outage windows, and explicit moves that statically must fail
-// at dispatch (to a crashed host, or onto a downed switch).
+// already-checked hosts and VMs. Beyond per-event shape checks it
+// simulates the event order to refuse double crashes, unpaired outage
+// windows, and explicit moves that statically must fail at dispatch (to
+// a crashed host, or onto a downed switch).
 func (c Config) validateFailures(k *checked) error {
 	if c.EvacuationDeadline < 0 {
 		return fmt.Errorf("cluster: negative evacuation deadline %v", c.EvacuationDeadline)
