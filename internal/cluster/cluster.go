@@ -144,20 +144,46 @@ type resolved struct {
 	sw string // effective link domain
 }
 
-// resolve fills the host's capacity fields from its machine model and
-// checks them. Its VMs are checked by Config.check, the one pass that
-// resolves every host. The catalog is passed in because fleet-scale
-// configs resolve thousands of hosts per run and hw.Catalog builds a
-// fresh map per call.
-func (h Host) resolve(cat map[string]hw.MachineSpec) (resolved, error) {
-	out := resolved{Host: h}
-	if h.Name == "" {
-		return out, errors.New("cluster: host has no name")
+// machineMemo resolves machine models for one check. Fleets list
+// thousands of instances of a model back to back, so it remembers the
+// last model: a run of same-model hosts costs one catalog lookup and
+// one IdlePower evaluation, not one per host. The catalog is passed in
+// because hw.Catalog builds a fresh map per call.
+type machineMemo struct {
+	cat    map[string]hw.MachineSpec
+	cached bool
+	name   string
+	ok     bool
+	spec   hw.MachineSpec
+	idle   units.Watts
+}
+
+// lookup returns the named machine model and its idle power.
+func (m *machineMemo) lookup(name string) (hw.MachineSpec, units.Watts, bool) {
+	if !m.cached || name != m.name {
+		m.cached, m.name = true, name
+		m.spec, m.ok = m.cat[name]
+		m.idle = 0
+		if m.ok {
+			m.idle = m.spec.IdlePower()
+		}
 	}
+	return m.spec, m.idle, m.ok
+}
+
+// resolve fills out's capacity fields and link domain from host h and
+// its machine model, and checks them. It copies nothing else of h: the
+// caller keeps the Host itself only when it builds an engine. Its VMs
+// are checked by Config.check, the one pass that resolves every host.
+func (h *Host) resolve(m *machineMemo, out *resolved) error {
+	if h.Name == "" {
+		return errors.New("cluster: host has no name")
+	}
+	out.Threads, out.MemBytes, out.IdlePower, out.Switch = h.Threads, h.MemBytes, h.IdlePower, h.Switch
 	if h.Machine != "" {
-		spec, ok := cat[h.Machine]
+		spec, idle, ok := m.lookup(h.Machine)
 		if !ok {
-			return out, fmt.Errorf("cluster: host %s: unknown machine model %q", h.Name, h.Machine)
+			return fmt.Errorf("cluster: host %s: unknown machine model %q", h.Name, h.Machine)
 		}
 		if out.Threads == 0 {
 			out.Threads = spec.Threads
@@ -166,7 +192,7 @@ func (h Host) resolve(cat map[string]hw.MachineSpec) (resolved, error) {
 			out.MemBytes = spec.RAM
 		}
 		if out.IdlePower == 0 {
-			out.IdlePower = spec.IdlePower()
+			out.IdlePower = idle
 		}
 		if out.Switch == "" {
 			out.Switch = spec.Switch
@@ -178,13 +204,13 @@ func (h Host) resolve(cat map[string]hw.MachineSpec) (resolved, error) {
 	}
 	switch {
 	case out.Threads <= 0:
-		return out, fmt.Errorf("cluster: host %s has no CPU capacity (set Machine or Threads)", h.Name)
+		return fmt.Errorf("cluster: host %s has no CPU capacity (set Machine or Threads)", h.Name)
 	case out.MemBytes <= 0:
-		return out, fmt.Errorf("cluster: host %s has no memory (set Machine or MemBytes)", h.Name)
+		return fmt.Errorf("cluster: host %s has no memory (set Machine or MemBytes)", h.Name)
 	case out.IdlePower <= 0:
-		return out, fmt.Errorf("cluster: host %s has no idle power (set Machine or IdlePower)", h.Name)
+		return fmt.Errorf("cluster: host %s has no idle power (set Machine or IdlePower)", h.Name)
 	}
-	return out, nil
+	return nil
 }
 
 // TimedMove is one explicit migration of a cluster timeline.
@@ -284,9 +310,9 @@ func (c Config) Validate() error {
 // checked is a configuration validated and resolved in one pass, in
 // config order: each host's link domain, the name indexes the checks
 // need and — for the engine, which is built from it — every host
-// resolved.
+// resolved straight into its runtime slab.
 type checked struct {
-	hosts []resolved // only when asked for
+	hosts []hostRT // only when asked for
 	sws   []string
 	// hostAt maps a host name to its config index; vmAt maps a VM name
 	// to the config index of its host.
@@ -303,7 +329,8 @@ func (k *checked) hasVM(name string) bool { _, ok := k.vmAt[name]; return ok }
 
 // check validates the configuration and resolves every host in one
 // pass. Validate and Run share it, so both report the same first error;
-// only Run keeps the resolved hosts, which Validate would drop.
+// only Run keeps the resolved hosts, which Validate would drop —
+// Validate keeps each host's link domain alone.
 func (c Config) check(keepHosts bool) (*checked, error) {
 	if len(c.Hosts) == 0 {
 		return nil, errors.New("cluster: no hosts")
@@ -322,7 +349,7 @@ func (c Config) check(keepHosts bool) (*checked, error) {
 			return nil, fmt.Errorf("cluster: pair %q spans switches %q and %q and cannot migrate", c.Pair, src.Switch, dst.Switch)
 		}
 	}
-	cat := hw.Catalog()
+	memo := &machineMemo{cat: hw.Catalog()}
 	nvms := 0
 	for _, h := range c.Hosts {
 		nvms += len(h.VMs)
@@ -332,13 +359,19 @@ func (c Config) check(keepHosts bool) (*checked, error) {
 		hostAt: make(map[string]int32, len(c.Hosts)),
 		vmAt:   make(map[string]int32, nvms),
 	}
+	var scratch resolved
 	if keepHosts {
-		k.hosts = make([]resolved, len(c.Hosts))
+		k.hosts = make([]hostRT, len(c.Hosts))
 	}
-	for i, h := range c.Hosts {
+	for i := range c.Hosts {
+		h := &c.Hosts[i]
 		hi := int32(i)
-		r, err := h.resolve(cat)
-		if err != nil {
+		r := &scratch
+		if keepHosts {
+			r = &k.hosts[i].resolved
+			r.Host = *h
+		}
+		if err := h.resolve(memo, r); err != nil {
 			return nil, err
 		}
 		// A VM's first sighting claims its name for its host; a repeat on
@@ -359,13 +392,10 @@ func (c Config) check(keepHosts bool) (*checked, error) {
 		if c.Pair == "" && h.Machine == "" {
 			return nil, fmt.Errorf("cluster: host %s needs a machine model (or set Config.Pair to lower every move onto one testbed pair)", h.Name)
 		}
-		if k.hostAt[r.Name] = hi; len(k.hostAt) != i+1 {
-			return nil, fmt.Errorf("cluster: duplicate host %q", r.Name)
+		if k.hostAt[h.Name] = hi; len(k.hostAt) != i+1 {
+			return nil, fmt.Errorf("cluster: duplicate host %q", h.Name)
 		}
 		k.sws[i] = r.sw
-		if keepHosts {
-			k.hosts[i] = r
-		}
 		for _, v := range h.VMs {
 			if k.vmAt[v.Name] != hi {
 				return nil, fmt.Errorf("cluster: VM %q appears on two hosts", v.Name)
@@ -389,7 +419,8 @@ func (c Config) check(keepHosts bool) (*checked, error) {
 	// the reachability guards below.
 	physical := func(i int32) string {
 		if c.Pair == "" {
-			return cat[c.Hosts[i].Machine].Switch
+			spec, _, _ := memo.lookup(c.Hosts[i].Machine)
+			return spec.Switch
 		}
 		return k.sws[i]
 	}

@@ -24,9 +24,11 @@ import (
 const seedStride = 607
 
 // hostRT is a host's runtime state: its resolved spec plus the resident
-// guests, kept in name order for deterministic iteration.
+// guests, kept in name order for deterministic iteration. Config.check
+// resolves each host straight into its hostRT, so the engine holds one
+// copy of the fleet.
 type hostRT struct {
-	*resolved
+	resolved
 	vms []*vmRT
 	// down marks a crashed host: no dispatch may target it, its idle
 	// floor leaves the power trace, and its residents are evacuation
@@ -41,11 +43,10 @@ type hostRT struct {
 	snap []consolidation.VMState
 
 	// Incremental-view bookkeeping (see view.go): the host's index in
-	// the engine's SoA policy view, its dirty/varying marks, and the
-	// counts of phase-driven residents and inbound reservations that
-	// keep it in the varying set.
+	// the engine's SoA policy view (and in engine.hosts), its varying
+	// mark, and the counts of phase-driven residents and inbound
+	// reservations that keep it in the varying set.
 	vi        int32
-	dirtyMark bool
 	varyMark  bool
 	phasedRes int
 	phasedInc int
@@ -159,9 +160,10 @@ type indexedRec struct {
 type engine struct {
 	cfg     Config
 	ctx     context.Context
-	done    <-chan struct{} // ctx.Done(), captured once; nil when uncancellable
-	hosts   []*hostRT
-	byName  map[string]*hostRT
+	done    <-chan struct{}  // ctx.Done(), captured once; nil when uncancellable
+	hosts   []*hostRT        // name order, pointing into slab
+	slab    []hostRT         // config order (checked.hosts)
+	hostAt  map[string]int32 // host name -> slab index (checked.hostAt)
 	vms     map[string]*vmRT
 	now     time.Duration
 	tick    time.Duration
@@ -197,13 +199,14 @@ type engine struct {
 
 	// Incremental policy-view state (see view.go), active when the
 	// policy implements consolidation.ViewPolicy on the heap scheduler.
-	viewOn       bool
-	vp           consolidation.ViewPolicy
-	pview        consolidation.View
-	viewLive     int     // live slot count in the view arena
-	dirty        []int32 // hosts touched by events since the last refresh
-	varying      []int32 // hosts with phase-driven demand, refreshed every tick
-	orderScratch []int32
+	viewOn    bool
+	vp        consolidation.ViewPolicy
+	pview     consolidation.View
+	viewLive  int     // live slot count in the view arena
+	dirty     []int32 // hosts touched by events since the last refresh
+	dirtyMark []bool  // per view index: queued in dirty
+	dirtyPos  []int   // per-tick scratch: dirty hosts' old Order positions
+	varying   []int32 // hosts with phase-driven demand, refreshed every tick
 	// viewEvents flags plan-input changes that are not per-host state
 	// (an abort cool-down expiring); havePlan/lastPlanMoves/lastPinned
 	// let a clean tick reuse the previous round's (empty) plan.
@@ -249,18 +252,13 @@ func Run(cfg Config) (*Report, error) {
 
 // newEngine validates the configuration and builds the engine from the
 // same pass (Config.check): hosts in name order, each host's residents
-// in name order. Runtime hosts and guests are carved from one slab
-// each.
+// in name order. Runtime hosts are check's resolved slab, and runtime
+// guests are carved from one slab.
 func newEngine(cfg Config) (*engine, error) {
 	k, err := cfg.check(true)
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int32, len(k.hosts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(k.hosts[a].Name, k.hosts[b].Name) })
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -269,25 +267,27 @@ func newEngine(cfg Config) (*engine, error) {
 		cfg:      cfg,
 		ctx:      ctx,
 		done:     ctx.Done(),
-		hosts:    make([]*hostRT, 0, len(order)),
-		byName:   make(map[string]*hostRT, len(order)),
+		hosts:    make([]*hostRT, len(k.hosts)),
+		slab:     k.hosts,
+		hostAt:   k.hostAt,
 		vms:      make(map[string]*vmRT, len(k.vmAt)),
 		rep:      &Report{},
 		timed:    flightHeap{key: dueKey},
 		switches: make(map[string]*swState),
 	}
-	hostSlab := make([]hostRT, len(order))
+	for i := range k.hosts {
+		e.hosts[i] = &k.hosts[i]
+	}
+	slices.SortFunc(e.hosts, func(a, b *hostRT) int { return strings.Compare(a.Name, b.Name) })
 	vmSlab := make([]vmRT, len(k.vmAt))
 	vmPtrs := make([]*vmRT, len(k.vmAt))
-	for _, ci := range order {
-		r := &k.hosts[ci]
-		h := &hostSlab[len(e.hosts)]
-		h.resolved, h.vi = r, int32(len(e.hosts))
-		if n := len(r.VMs); n > 0 {
+	for vi, h := range e.hosts {
+		h.vi = int32(vi)
+		if n := len(h.VMs); n > 0 {
 			// Capped, so a guest landing here later reallocates instead
 			// of overwriting the next host's residents.
 			h.vms, vmPtrs = vmPtrs[:n:n], vmPtrs[n:]
-			for j, v := range r.VMs {
+			for j, v := range h.VMs {
 				vr := &vmSlab[j]
 				*vr = vmRT{VM: v, host: h, phased: len(v.Phases) > 0}
 				h.vms[j] = vr
@@ -301,13 +301,12 @@ func newEngine(cfg Config) (*engine, error) {
 			}
 			e.vms[vr.Name] = vr
 		}
-		e.hosts = append(e.hosts, h)
-		e.byName[h.Name] = h
 	}
 	e.snapHosts = make([]consolidation.HostState, 0, len(e.hosts))
 	e.initFailures(cfg.Failures)
 	if vp, ok := e.viewEnabled(); ok && !cfg.Serial {
 		e.viewOn, e.vp = true, vp
+		e.dirtyMark = make([]bool, len(e.hosts))
 		e.rebuildView(0)
 		for _, h := range e.hosts {
 			if h.phasedRes > 0 {
@@ -689,6 +688,15 @@ func (e *engine) lower(v *vmRT, src, dst *hostRT, t time.Duration, idx int) sim.
 	return sc
 }
 
+// host returns the named host.
+func (e *engine) host(name string) (*hostRT, bool) {
+	ci, ok := e.hostAt[name]
+	if !ok {
+		return nil, false
+	}
+	return &e.slab[ci], true
+}
+
 // checkMove resolves and sanity-checks one dispatching move.
 func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, error) {
 	v, ok := e.vms[m.VM]
@@ -701,7 +709,7 @@ func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, error) {
 	if v.host.Name != m.From {
 		return nil, nil, fmt.Errorf("cluster: VM %q is on host %q, not %q", m.VM, v.host.Name, m.From)
 	}
-	dst, ok := e.byName[m.To]
+	dst, ok := e.host(m.To)
 	if !ok {
 		return nil, nil, fmt.Errorf("cluster: move references unknown host %q", m.To)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -304,8 +305,8 @@ func TestClusterTickAllocCeiling(t *testing.T) {
 // size on the struct-of-arrays path: once the view arrays are sized, a
 // steady-state incremental tick — refresh a few dirty hosts, repair the
 // sorted order, rebuild the pinned lists — must allocate O(1),
-// independent of the 8,192-host fleet. The small constant ceiling
-// covers sort.Slice's closure boxing on the dirty set; anything that
+// independent of the 8,192-host fleet. It measures zero; the small
+// constant ceiling leaves room for incidental boxing, and anything that
 // scales with the host count blows straight through it.
 func TestClusterTickAllocCeiling8k(t *testing.T) {
 	if raceEnabled {
@@ -334,5 +335,44 @@ func TestClusterTickAllocCeiling8k(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, touch)
 	if allocs > ceiling {
 		t.Errorf("steady-state view tick allocates %.0f times, ceiling is %d", allocs, ceiling)
+	}
+}
+
+// TestEngineBuildAllocCeiling pins what building a 100,000-host engine
+// allocates. Config.check resolves every host straight into the runtime
+// slab, and the engine finds hosts through check's name index, so the
+// fleet exists once. Both ceilings sit about a fifth above the measured
+// build: a second fleet copy trips the byte ceiling, and a re-added
+// host-name map (its table is many objects) the object ceiling.
+func TestEngineBuildAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race for the ceiling")
+	}
+	cfg := sparseFleet(100000)
+	if _, err := newEngine(cfg); err != nil { // warm lazily built state
+		t.Fatal(err)
+	}
+	const builds = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		e, err := newEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.viewOn {
+			t.Fatal("sparse fixture did not enable the incremental view")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / builds
+	objects := (after.Mallocs - before.Mallocs) / builds
+	t.Logf("%d bytes and %d objects per build", bytes, objects)
+	const byteCeiling, objectCeiling = 54 << 20, 500
+	if bytes > byteCeiling {
+		t.Errorf("building the 100k-host engine allocates %d bytes, ceiling is %d", bytes, byteCeiling)
+	}
+	if objects > objectCeiling {
+		t.Errorf("building the 100k-host engine allocates %d objects, ceiling is %d", objects, objectCeiling)
 	}
 }

@@ -140,7 +140,7 @@ func (e *engine) applyFailures(t time.Duration) {
 // crashHost drops a host: every flight touching it aborts, every
 // resident orphans, and the host leaves the idle-power floor.
 func (e *engine) crashHost(name string, t time.Duration) {
-	h := e.byName[name]
+	h, _ := e.host(name) // validateFailures checked the name
 	h.down = true
 	if e.viewOn {
 		e.markHostDirty(h)

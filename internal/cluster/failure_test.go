@@ -300,20 +300,22 @@ func TestCheckMoveRefusesDownTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	move := TimedMove{VM: "va", From: "h00", To: "h01"}
+	h00, _ := e.host("h00")
+	h01, _ := e.host("h01")
 
-	e.byName["h01"].down = true
+	h01.down = true
 	if _, _, err := e.checkMove(move); err == nil || !strings.Contains(err.Error(), "down") {
 		t.Errorf("move to a crashed host: err = %v, want a down refusal", err)
 	}
-	e.byName["h01"].down = false
+	h01.down = false
 
-	e.switchState(e.byName["h01"].sw).down = true
+	e.switchState(h01.sw).down = true
 	if _, _, err := e.checkMove(move); err == nil || !strings.Contains(err.Error(), "switch") {
 		t.Errorf("move onto a downed switch: err = %v, want a switch refusal", err)
 	}
 	// Moving OFF a crashed host stays legal: that is an evacuation.
-	e.switchState(e.byName["h01"].sw).down = false
-	e.byName["h00"].down = true
+	e.switchState(h01.sw).down = false
+	h00.down = true
 	if _, _, err := e.checkMove(move); err != nil {
 		t.Errorf("evacuation off a crashed host refused: %v", err)
 	}

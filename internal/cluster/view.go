@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -26,11 +27,14 @@ import (
 //   - A refreshed host re-sums its aggregates in slot order (never
 //     incremental subtraction), so clean hosts' cached sums are
 //     bit-identical to a full rebuild at the same instant.
-//   - Order repair drops the refreshed hosts (a stable compaction of
-//     entries whose keys did not change stays sorted), sorts them by
-//     their new (busy, name) keys, and merges. Host names are unique,
-//     so (busy, name) is a unique total order and the merge reproduces
-//     a full sort exactly.
+//   - Order repair finds each refreshed host's old position by binary
+//     search before the refresh, compacts those entries out (the
+//     entries whose keys did not change stay sorted), sorts the
+//     refreshed hosts by their new keys, and inserts each at its
+//     binary-searched position, moving the clean entries once. The
+//     engine's hosts are name-sorted, so the (busy, index) key is the
+//     policies' (busy, name) key; it is a unique total order, and the
+//     repair reproduces a full sort exactly.
 
 // viewEnabled reports whether this configuration plans through the
 // incrementally maintained view: a ViewPolicy on the heap scheduler.
@@ -46,8 +50,8 @@ func (e *engine) viewEnabled() (consolidation.ViewPolicy, bool) {
 
 // markHostDirty queues a host for refresh at the next planning tick.
 func (e *engine) markHostDirty(h *hostRT) {
-	if !h.dirtyMark {
-		h.dirtyMark = true
+	if !e.dirtyMark[h.vi] {
+		e.dirtyMark[h.vi] = true
 		e.dirty = append(e.dirty, h.vi)
 	}
 }
@@ -99,34 +103,43 @@ func (e *engine) flattenHostView(h *hostRT, t time.Duration) {
 
 // rebuildView reconstructs the whole view from the runtime state at
 // time t: the initial build, and every tick of the property-tested
-// full-rebuild fallback (Config.fullRebuild).
+// full-rebuild fallback (Config.fullRebuild). The arrays are sized up
+// front, so a 100k-host build grows none of them.
 func (e *engine) rebuildView(t time.Duration) {
 	v := &e.pview
-	v.HostName = v.HostName[:0]
-	v.Threads = v.Threads[:0]
-	v.MemCap = v.MemCap[:0]
-	v.IdlePower = v.IdlePower[:0]
-	v.Down = v.Down[:0]
-	v.Busy = v.Busy[:0]
-	v.Mem = v.Mem[:0]
-	v.VMStart = v.VMStart[:0]
-	v.VMCount = v.VMCount[:0]
-	v.VMName = v.VMName[:0]
-	v.VMMem = v.VMMem[:0]
-	v.VMBusy = v.VMBusy[:0]
-	v.VMDirty = v.VMDirty[:0]
+	n, slots := len(e.hosts), 0
+	for _, h := range e.hosts {
+		slots += len(h.vms) + len(h.incoming)
+	}
+	v.HostName = slices.Grow(v.HostName[:0], n)
+	v.Threads = slices.Grow(v.Threads[:0], n)
+	v.MemCap = slices.Grow(v.MemCap[:0], n)
+	v.IdlePower = slices.Grow(v.IdlePower[:0], n)
+	v.Down = slices.Grow(v.Down[:0], n)
+	v.Busy = slices.Grow(v.Busy[:0], n)
+	v.Mem = slices.Grow(v.Mem[:0], n)
+	v.VMStart = slices.Grow(v.VMStart[:0], n)
+	v.VMCount = slices.Grow(v.VMCount[:0], n)
+	v.VMName = slices.Grow(v.VMName[:0], slots)
+	v.VMMem = slices.Grow(v.VMMem[:0], slots)
+	v.VMBusy = slices.Grow(v.VMBusy[:0], slots)
+	v.VMDirty = slices.Grow(v.VMDirty[:0], slots)
 	for _, h := range e.hosts {
 		e.flattenHostView(h, t)
 	}
 	e.viewLive = len(v.VMName)
-	// The engine's hosts are name-sorted (sortedHosts), so index order
-	// is name order — the precondition for the policies' order-indexed
-	// target scan.
+	// The engine's hosts are name-sorted (newEngine), so index order is
+	// name order — the precondition for the policies' order-indexed
+	// target scan, and what lets Order sort by (busy, index).
 	v.NameOrdered = true
-	v.SortOrder()
+	v.Order = slices.Grow(v.Order[:0], n)
+	for i := range e.hosts {
+		v.Order = append(v.Order, int32(i))
+	}
+	slices.SortFunc(v.Order, func(a, b int32) int { return viewCmp(v, a, b) })
 	// The rebuild consumed every outstanding mark.
 	for _, vi := range e.dirty {
-		e.hosts[vi].dirtyMark = false
+		e.dirtyMark[vi] = false
 	}
 	e.dirty = e.dirty[:0]
 }
@@ -173,18 +186,38 @@ func (e *engine) refreshHostView(h *hostRT, t time.Duration) {
 	v.Down[i] = h.down
 }
 
-// viewLess orders host indices by the policies' (busy, name) key.
-func viewLess(v *consolidation.View, a, b int32) bool {
+// viewCmp orders host indices by the (busy, index) key, which is the
+// policies' (busy, name) key on the engine's name-sorted hosts.
+func viewCmp(v *consolidation.View, a, b int32) int {
 	if v.Busy[a] != v.Busy[b] {
-		return v.Busy[a] < v.Busy[b]
+		if v.Busy[a] < v.Busy[b] {
+			return -1
+		}
+		return 1
 	}
-	return v.HostName[a] < v.HostName[b]
+	return int(a - b)
+}
+
+// orderSearch returns how many hosts of order sort before host x under
+// the view's current keys; order must be sorted under them.
+func orderSearch(v *consolidation.View, order []int32, x int32) int {
+	lo, hi := 0, len(order)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if viewCmp(v, order[m], x) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // viewTick folds the varying set into the dirty set, refreshes every
-// dirty host at time t, and repairs Order by compact-sort-merge. It
-// reports whether anything was refreshed — a clean tick's view (and
-// therefore its plan) is identical to the last one.
+// dirty host at time t, and repairs Order in O(dirty · log hosts) plus
+// one pass of block copies. It reports whether anything was refreshed —
+// a clean tick's view (and therefore its plan) is identical to the last
+// one.
 func (e *engine) viewTick(t time.Duration) bool {
 	// Varying hosts (phased residents or phased reservations) refresh
 	// every tick; hosts whose phased population dropped to zero leave
@@ -204,32 +237,46 @@ func (e *engine) viewTick(t time.Duration) bool {
 		return false
 	}
 	v := &e.pview
+	order := v.Order
+	// Find every dirty host under its old key, before the refresh
+	// overwrites it. A NaN demand (the Go API does not reject one)
+	// unsorts Order; the linear fallback keeps Order a permutation.
+	e.dirtyPos = e.dirtyPos[:0]
+	for _, vi := range e.dirty {
+		p := orderSearch(v, order, vi)
+		if p == len(order) || order[p] != vi {
+			p = slices.Index(order, vi)
+		}
+		e.dirtyPos = append(e.dirtyPos, p)
+	}
 	for _, vi := range e.dirty {
 		e.refreshHostView(e.hosts[vi], t)
+		e.dirtyMark[vi] = false
 	}
-	sort.Slice(e.dirty, func(a, b int) bool { return viewLess(v, e.dirty[a], e.dirty[b]) })
-	// Merge: clean entries keep their relative order (their keys did not
-	// change, so they are still sorted); refreshed entries interleave by
-	// their new keys. The result is the unique (busy, name) total order.
-	out := e.orderScratch[:0]
-	di := 0
-	for _, hi := range v.Order {
-		if e.hosts[hi].dirtyMark {
-			continue
+	// Compact: drop the dirty entries; the clean ones keep their keys
+	// and so stay sorted.
+	slices.Sort(e.dirtyPos)
+	clean := e.dirtyPos[0]
+	for k, p := range e.dirtyPos {
+		end := len(order)
+		if k+1 < len(e.dirtyPos) {
+			end = e.dirtyPos[k+1]
 		}
-		for di < len(e.dirty) && viewLess(v, e.dirty[di], hi) {
-			out = append(out, e.dirty[di])
-			di++
-		}
-		out = append(out, hi)
+		clean += copy(order[clean:], order[p+1:end])
 	}
-	for ; di < len(e.dirty); di++ {
-		out = append(out, e.dirty[di])
-	}
-	e.orderScratch = v.Order[:0]
-	v.Order = out
-	for _, vi := range e.dirty {
-		e.hosts[vi].dirtyMark = false
+	// Insert the dirty hosts by their new keys, largest first, each at
+	// its binary-searched position among the clean entries; every clean
+	// entry moves at most once.
+	slices.SortFunc(e.dirty, func(a, b int32) int { return viewCmp(v, a, b) })
+	out := len(order)
+	for d := len(e.dirty) - 1; d >= 0; d-- {
+		vi := e.dirty[d]
+		p := orderSearch(v, order[:clean], vi)
+		out -= clean - p
+		copy(order[out:], order[p:clean])
+		clean = p
+		out--
+		order[out] = vi
 	}
 	e.dirty = e.dirty[:0]
 	e.compactArena()

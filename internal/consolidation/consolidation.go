@@ -3,7 +3,6 @@ package consolidation
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/units"
@@ -132,10 +131,20 @@ type Plan struct {
 	Moves []Move
 	// MigrationEnergy is the total predicted cost of the moves.
 	MigrationEnergy units.Joules
-	// FreedHosts are hosts left empty by the plan (candidates to switch off).
+	// FreedHosts are live hosts left empty by the plan (candidates to
+	// switch off), in name order. Policy.Plan fills it; ViewPolicy.PlanView
+	// leaves it empty.
 	FreedHosts []string
-	// IdleSavings is the idle power reclaimed by switching freed hosts off.
+	// IdleSavings is the idle power reclaimed by switching freed hosts
+	// off. Filled alongside FreedHosts.
 	IdleSavings units.Watts
+}
+
+// sumEnergy totals the moves' predicted cost into MigrationEnergy.
+func (p *Plan) sumEnergy() {
+	for _, m := range p.Moves {
+		p.MigrationEnergy += m.Cost.Energy
+	}
 }
 
 // Payback returns how long the freed idle power needs to amortise the
@@ -289,20 +298,4 @@ func removeVMSlice(vms *[]VMState, name string) (VMState, bool) {
 		}
 	}
 	return VMState{}, false
-}
-
-// finishPlan computes the aggregate fields from the working state. A
-// crashed host emptied by evacuation is not "freed": it already draws
-// nothing, so switching it off reclaims nothing.
-func finishPlan(plan *Plan, hosts []HostState) {
-	for _, h := range hosts {
-		if len(h.VMs) == 0 && !h.Down {
-			plan.FreedHosts = append(plan.FreedHosts, h.Name)
-			plan.IdleSavings += h.IdlePower
-		}
-	}
-	sort.Strings(plan.FreedHosts)
-	for _, m := range plan.Moves {
-		plan.MigrationEnergy += m.Cost.Energy
-	}
 }

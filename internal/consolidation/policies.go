@@ -63,7 +63,8 @@ func (EnergyAware) Name() string { return "energy-aware" }
 
 // Plan implements Policy by flattening the hosts into a View and
 // delegating to the shared view planner; both entry points run one
-// implementation and produce bit-identical plans.
+// implementation and plan bit-identical moves. Plan adds the fleet
+// summary, read from the planner's post-plan working state.
 func (p EnergyAware) Plan(hosts []HostState, cfg Config) (*Plan, error) {
 	if p.Model == nil {
 		return nil, errors.New("consolidation: energy-aware policy needs a cost model")
@@ -71,7 +72,13 @@ func (p EnergyAware) Plan(hosts []HostState, cfg Config) (*Plan, error) {
 	if err := validateHosts(hosts); err != nil {
 		return nil, err
 	}
-	return p.planView(NewView(hosts), cfg)
+	v := NewView(hosts)
+	plan, err := p.planView(v, cfg)
+	if err != nil {
+		return nil, err
+	}
+	v.summarize(plan, v.ws.cntOf)
+	return plan, nil
 }
 
 // PlanView implements ViewPolicy. The view's host set is trusted (the
@@ -190,7 +197,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 			break
 		}
 	}
-	w.finishPlan(plan)
+	plan.sumEnergy()
 	return plan, nil
 }
 
@@ -426,12 +433,18 @@ type FirstFitDecreasing struct {
 func (FirstFitDecreasing) Name() string { return "first-fit-decreasing" }
 
 // Plan implements Policy via the shared view planner (see
-// EnergyAware.Plan).
+// EnergyAware.Plan); the fleet summary comes from the packed bins.
 func (p FirstFitDecreasing) Plan(hosts []HostState, cfg Config) (*Plan, error) {
 	if err := validateHosts(hosts); err != nil {
 		return nil, err
 	}
-	return p.planView(NewView(hosts), cfg)
+	v := NewView(hosts)
+	plan, bins, err := p.planView(v, cfg)
+	if err != nil {
+		return nil, err
+	}
+	v.summarize(plan, func(i int32) int32 { return bins[i] })
+	return plan, nil
 }
 
 // PlanView implements ViewPolicy.
@@ -439,10 +452,13 @@ func (p FirstFitDecreasing) PlanView(v *View, cfg Config) (*Plan, error) {
 	if v.hostCount() < 2 {
 		return nil, errors.New("consolidation: need at least two hosts")
 	}
-	return p.planView(v, cfg)
+	plan, _, err := p.planView(v, cfg)
+	return plan, err
 }
 
-func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, error) {
+// planView packs the view and returns the plan with each host's
+// post-plan resident count.
+func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error) {
 	cfg = cfg.withDefaults()
 	plan := &Plan{}
 	pinned := cfg.pinnedSet()
@@ -502,8 +518,8 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, error) {
 	}
 	for idx, pl := range all {
 		// Move budget exhausted: every VM not yet processed stays where
-		// it is. They must land back in their origin bins, or the freed-
-		// host accounting below would report hosts as empty that still
+		// it is. They must land back in their origin bins, or the one-shot
+		// door's freed-host summary would report hosts as empty that still
 		// run the unmoved tail of the packing order.
 		if cfg.MaxMoves > 0 && len(plan.Moves) >= cfg.MaxMoves {
 			for _, rest := range all[idx:] {
@@ -526,7 +542,7 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, error) {
 			}
 		}
 		if placedAt < 0 {
-			return nil, fmt.Errorf("consolidation: FFD cannot place VM %q", pl.vm.Name)
+			return nil, nil, fmt.Errorf("consolidation: FFD cannot place VM %q", pl.vm.Name)
 		}
 		if placedAt != pl.from {
 			move := Move{VM: pl.vm.Name, From: v.HostName[pl.from], To: v.HostName[placedAt]}
@@ -535,24 +551,15 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, error) {
 				dstBusy := binBusy[placedAt] - pl.vm.BusyVCPUs
 				cost, err := p.Model.Cost(pl.vm, srcBusy, dstBusy)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				move.Cost = cost
 			}
 			plan.Moves = append(plan.Moves, move)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if binCnt[i] == 0 && !v.Down[i] {
-			plan.FreedHosts = append(plan.FreedHosts, v.HostName[i])
-			plan.IdleSavings += v.IdlePower[i]
-		}
-	}
-	sort.Strings(plan.FreedHosts)
-	for _, m := range plan.Moves {
-		plan.MigrationEnergy += m.Cost.Energy
-	}
-	return plan, nil
+	plan.sumEnergy()
+	return plan, binCnt, nil
 }
 
 // Compile-time interface checks: both built-in policies plan directly

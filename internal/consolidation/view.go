@@ -59,7 +59,13 @@ type View struct {
 // ViewPolicy is a Policy that can plan directly against a View. The
 // built-in policies implement it, and their classic Plan entry points
 // delegate through NewView, so both paths share one implementation and
-// produce bit-identical plans.
+// plan bit-identical moves.
+//
+// PlanView returns the round's moves and their MigrationEnergy only; it
+// leaves the fleet summary (FreedHosts, IdleSavings) empty, because
+// finding every empty host costs O(hosts) and a periodic re-planner
+// acts on the moves alone. The one-shot Plan entry points fill the
+// summary from the same post-plan working state.
 //
 // A View carries the planners' working memory, reused across calls, so
 // one goroutine plans a given View at a time. The cluster engine plans
@@ -156,7 +162,6 @@ type vwork struct {
 	// Per-call scratch.
 	order []int32 // drain order re-sorted after evacuations
 	live  []int32 // drain targets in busy order (see planView)
-	freed []int32 // freed host indices (see finishPlan)
 	drain viewDrainScratch
 }
 
@@ -297,29 +302,18 @@ func (w *vwork) recompute(i int32) {
 	w.busy[i], w.mem[i] = busy, mem
 }
 
-// finishPlan computes the plan's aggregate fields from the working
-// state, exactly as finishPlan does for the AoS path. FreedHosts is a
-// fresh slice of exactly its length — the plan never aliases the
-// workspace — and already in name order when host index order is.
-func (w *vwork) finishPlan(plan *Plan) {
-	v := w.v
-	w.freed = w.freed[:0]
+// summarize fills a one-shot plan's fleet summary from the post-plan
+// resident count of every host: each live host left empty is freed, in
+// name order, and its idle draw is reclaimed. A crashed host emptied by
+// evacuation is not freed: it already draws nothing. PlanView plans
+// carry no summary — a periodic re-planner reads only the moves — so
+// this O(hosts) pass runs only behind the Policy.Plan entry points.
+func (v *View) summarize(plan *Plan, resident func(int32) int32) {
 	for i := int32(0); i < int32(v.hostCount()); i++ {
-		if w.cntOf(i) == 0 && !v.Down[i] {
-			w.freed = append(w.freed, i)
-		}
-	}
-	if len(w.freed) > 0 {
-		plan.FreedHosts = make([]string, len(w.freed))
-		for k, i := range w.freed {
-			plan.FreedHosts[k] = v.HostName[i]
+		if resident(i) == 0 && !v.Down[i] {
+			plan.FreedHosts = append(plan.FreedHosts, v.HostName[i])
 			plan.IdleSavings += v.IdlePower[i]
 		}
-		if !v.NameOrdered {
-			sort.Strings(plan.FreedHosts)
-		}
 	}
-	for _, m := range plan.Moves {
-		plan.MigrationEnergy += m.Cost.Energy
-	}
+	sort.Strings(plan.FreedHosts)
 }

@@ -73,10 +73,13 @@ func clonePlan(p *Plan) *Plan {
 // TestPlanViewReuseParity plans an evolving fleet round after round
 // through one reused View — whose workspace carries over between calls —
 // and demands every plan deep-equal the plan of a fresh NewView of the
-// same state: moves, freed-host order, idle savings and migration
-// energy. The rounds cover evacuations, MaxMoves cut-offs, pinned VMs,
-// a View whose index order is not name order, and a host count that
-// grows and shrinks. Earlier plans must not change under later calls.
+// same state. Each round also checks the one-shot Plan door against it:
+// the same moves and migration energy, plus the fleet summary PlanView
+// leaves empty — every live host the moves leave empty, in name order,
+// and their idle-power sum. The rounds cover evacuations, MaxMoves
+// cut-offs, pinned VMs, a View whose index order is not name order, and
+// a host count that grows and shrinks. Earlier plans must not change
+// under later calls.
 func TestPlanViewReuseParity(t *testing.T) {
 	policies := []struct {
 		name string
@@ -102,7 +105,7 @@ func TestPlanViewReuseParity(t *testing.T) {
 			reused := &View{}
 			var kept []*Plan
 			var keptCopies []*Plan
-			var evacuated, capped, unordered, resized int
+			var evacuated, capped, unordered, resized, summarized int
 			for round := 0; round < 24; round++ {
 				cfg := Config{Horizon: 24 * time.Hour, MaxMoves: []int{0, 3, 1, 0, 6}[round%5]}
 				switch {
@@ -156,8 +159,33 @@ func TestPlanViewReuseParity(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d: reused-view plan differs from a fresh view's\n got %+v\nwant %+v", round, got, want)
 				}
-				if !reused.NameOrdered && !sort.StringsAreSorted(got.FreedHosts) {
-					t.Fatalf("round %d: freed hosts out of name order: %v", round, got.FreedHosts)
+				if got.FreedHosts != nil || got.IdleSavings != 0 {
+					t.Fatalf("round %d: PlanView filled the fleet summary: freed %v, savings %v", round, got.FreedHosts, got.IdleSavings)
+				}
+				oneShot, err := p.Plan(state, cfg)
+				if err != nil {
+					t.Fatalf("round %d: one-shot Plan: %v", round, err)
+				}
+				if !reflect.DeepEqual(oneShot.Moves, got.Moves) || oneShot.MigrationEnergy != got.MigrationEnergy {
+					t.Fatalf("round %d: one-shot Plan differs from PlanView\n got %+v\nwant %+v", round, oneShot, got)
+				}
+				after := cloneHosts(state)
+				applyPlan(t, after, oneShot)
+				var freed []string
+				var savings units.Watts
+				for _, h := range after {
+					if len(h.VMs) == 0 && !h.Down {
+						freed = append(freed, h.Name)
+						savings += h.IdlePower
+					}
+				}
+				sort.Strings(freed)
+				if !reflect.DeepEqual(oneShot.FreedHosts, freed) || oneShot.IdleSavings != savings {
+					t.Fatalf("round %d: one-shot summary: freed %v (%v W), want %v (%v W)",
+						round, oneShot.FreedHosts, oneShot.IdleSavings, freed, savings)
+				}
+				if len(freed) > 0 {
+					summarized++
 				}
 				for _, m := range got.Moves {
 					if len(cfg.Evacuate) > 0 && m.VM == cfg.Evacuate[0] {
@@ -185,9 +213,9 @@ func TestPlanViewReuseParity(t *testing.T) {
 					t.Fatalf("round %d's plan changed under later planning calls", i)
 				}
 			}
-			if evacuated == 0 || capped == 0 || unordered == 0 || resized == 0 {
-				t.Fatalf("fixture drift: evacuated %d, capped %d, unordered %d, resized %d rounds",
-					evacuated, capped, unordered, resized)
+			if evacuated == 0 || capped == 0 || unordered == 0 || resized == 0 || summarized == 0 {
+				t.Fatalf("fixture drift: evacuated %d, capped %d, unordered %d, resized %d, summarized %d rounds",
+					evacuated, capped, unordered, resized, summarized)
 			}
 		})
 	}
@@ -195,43 +223,62 @@ func TestPlanViewReuseParity(t *testing.T) {
 
 // TestPlanViewAllocCeiling: planning a 10,000-host View again and again
 // reuses the View's workspace, so a round allocates O(moves) — the plan,
-// its moves and freed-host names, drain-order sorting — and nothing that
-// scales with the host count. Both ceilings sit far below one word per
-// host; the per-call workspace it replaces cost about 70 bytes per host.
+// its moves, drain-order sorting — and nothing that scales with the host
+// count. Both ceilings sit far below one word per host; the per-call
+// workspace it replaces cost about 70 bytes per host. The sparse fleet,
+// three hosts in four empty as on a rolling drain, pins that PlanView
+// reports no freed-host list: one name per empty host would cost about
+// 16 bytes per host.
 func TestPlanViewAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the ceiling")
 	}
-	v := NewView(benchState(10000))
-	p := EnergyAware{Model: HeuristicCost{}}
-	cfg := Config{Horizon: 24 * time.Hour, MaxMoves: 8}
-	plan := func() {
-		pl, err := p.PlanView(v, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pl.Moves) != cfg.MaxMoves {
-			t.Fatalf("fixture drift: %d moves, want %d", len(pl.Moves), cfg.MaxMoves)
+	sparse := benchState(10000)
+	for i := range sparse {
+		if i%4 != 3 {
+			sparse[i].VMs = nil
 		}
 	}
-	plan() // size the workspace
-	const allocCeiling = 24
-	allocs := testing.AllocsPerRun(50, plan)
-	t.Logf("%.0f allocations per call", allocs)
-	if allocs > allocCeiling {
-		t.Errorf("repeated PlanView allocates %.0f times per call, ceiling is %d", allocs, allocCeiling)
-	}
-	const byteCeiling = 4 << 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const calls = 50
-	for i := 0; i < calls; i++ {
-		plan()
-	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
-	t.Logf("%d bytes per call", perCall)
-	if perCall > byteCeiling {
-		t.Errorf("repeated PlanView allocates %d bytes per call at 10,000 hosts, ceiling is %d", perCall, byteCeiling)
+	for _, tc := range []struct {
+		name  string
+		hosts []HostState
+	}{
+		{"dense", benchState(10000)},
+		{"sparse", sparse},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := NewView(tc.hosts)
+			p := EnergyAware{Model: HeuristicCost{}}
+			cfg := Config{Horizon: 24 * time.Hour, MaxMoves: 8}
+			plan := func() {
+				pl, err := p.PlanView(v, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(pl.Moves) != cfg.MaxMoves {
+					t.Fatalf("fixture drift: %d moves, want %d", len(pl.Moves), cfg.MaxMoves)
+				}
+			}
+			plan() // size the workspace
+			const allocCeiling = 24
+			allocs := testing.AllocsPerRun(50, plan)
+			t.Logf("%.0f allocations per call", allocs)
+			if allocs > allocCeiling {
+				t.Errorf("repeated PlanView allocates %.0f times per call, ceiling is %d", allocs, allocCeiling)
+			}
+			const byteCeiling = 4 << 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const calls = 50
+			for i := 0; i < calls; i++ {
+				plan()
+			}
+			runtime.ReadMemStats(&after)
+			perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+			t.Logf("%d bytes per call", perCall)
+			if perCall > byteCeiling {
+				t.Errorf("repeated PlanView allocates %d bytes per call at 10,000 hosts, ceiling is %d", perCall, byteCeiling)
+			}
+		})
 	}
 }
