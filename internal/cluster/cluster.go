@@ -153,22 +153,27 @@ type machineMemo struct {
 	cat    map[string]hw.MachineSpec
 	cached bool
 	name   string
-	ok     bool
-	spec   hw.MachineSpec
-	idle   units.Watts
+	// The last model's fields a host resolves from; ok is false for a
+	// model the catalog lacks.
+	ok      bool
+	threads int
+	ram     units.Bytes
+	idle    units.Watts
+	sw      string
 }
 
-// lookup returns the named machine model and its idle power.
-func (m *machineMemo) lookup(name string) (hw.MachineSpec, units.Watts, bool) {
+// lookup points the memo at the named machine model and reports
+// whether the catalog has it.
+func (m *machineMemo) lookup(name string) bool {
 	if !m.cached || name != m.name {
-		m.cached, m.name = true, name
-		m.spec, m.ok = m.cat[name]
-		m.idle = 0
-		if m.ok {
-			m.idle = m.spec.IdlePower()
+		spec, ok := m.cat[name]
+		*m = machineMemo{cat: m.cat, cached: true, name: name, ok: ok,
+			threads: spec.Threads, ram: spec.RAM, sw: spec.Switch}
+		if ok {
+			m.idle = spec.IdlePower()
 		}
 	}
-	return m.spec, m.idle, m.ok
+	return m.ok
 }
 
 // resolve fills out's capacity fields and link domain from host h and
@@ -181,21 +186,20 @@ func (h *Host) resolve(m *machineMemo, out *resolved) error {
 	}
 	out.Threads, out.MemBytes, out.IdlePower, out.Switch = h.Threads, h.MemBytes, h.IdlePower, h.Switch
 	if h.Machine != "" {
-		spec, idle, ok := m.lookup(h.Machine)
-		if !ok {
+		if !m.lookup(h.Machine) {
 			return fmt.Errorf("cluster: host %s: unknown machine model %q", h.Name, h.Machine)
 		}
 		if out.Threads == 0 {
-			out.Threads = spec.Threads
+			out.Threads = m.threads
 		}
 		if out.MemBytes == 0 {
-			out.MemBytes = spec.RAM
+			out.MemBytes = m.ram
 		}
 		if out.IdlePower == 0 {
-			out.IdlePower = idle
+			out.IdlePower = m.idle
 		}
 		if out.Switch == "" {
-			out.Switch = spec.Switch
+			out.Switch = m.sw
 		}
 	}
 	out.sw = out.Switch
@@ -419,8 +423,8 @@ func (c Config) check(keepHosts bool) (*checked, error) {
 	// the reachability guards below.
 	physical := func(i int32) string {
 		if c.Pair == "" {
-			spec, _, _ := memo.lookup(c.Hosts[i].Machine)
-			return spec.Switch
+			memo.lookup(c.Hosts[i].Machine)
+			return memo.sw
 		}
 		return k.sws[i]
 	}
