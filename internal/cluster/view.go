@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"time"
@@ -188,29 +189,13 @@ func (e *engine) refreshHostView(h *hostRT, t time.Duration) {
 
 // viewCmp orders host indices by the (busy, index) key, which is the
 // policies' (busy, name) key on the engine's name-sorted hosts.
+// cmp.Compare orders a NaN demand (the Go API does not reject one)
+// first, so the key stays a total order and Order stays searchable.
 func viewCmp(v *consolidation.View, a, b int32) int {
-	if v.Busy[a] != v.Busy[b] {
-		if v.Busy[a] < v.Busy[b] {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(v.Busy[a], v.Busy[b]); c != 0 {
+		return c
 	}
-	return int(a - b)
-}
-
-// orderSearch returns how many hosts of order sort before host x under
-// the view's current keys; order must be sorted under them.
-func orderSearch(v *consolidation.View, order []int32, x int32) int {
-	lo, hi := 0, len(order)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if viewCmp(v, order[m], x) < 0 {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
+	return cmp.Compare(a, b)
 }
 
 // viewTick folds the varying set into the dirty set, refreshes every
@@ -238,14 +223,14 @@ func (e *engine) viewTick(t time.Duration) bool {
 	}
 	v := &e.pview
 	order := v.Order
+	less := func(a, b int32) int { return viewCmp(v, a, b) }
 	// Find every dirty host under its old key, before the refresh
-	// overwrites it. A NaN demand (the Go API does not reject one)
-	// unsorts Order; the linear fallback keeps Order a permutation.
+	// overwrites it.
 	e.dirtyPos = e.dirtyPos[:0]
 	for _, vi := range e.dirty {
-		p := orderSearch(v, order, vi)
-		if p == len(order) || order[p] != vi {
-			p = slices.Index(order, vi)
+		p, found := slices.BinarySearchFunc(order, vi, less)
+		if !found {
+			panic("cluster: view Order out of sync with its keys")
 		}
 		e.dirtyPos = append(e.dirtyPos, p)
 	}
@@ -267,11 +252,11 @@ func (e *engine) viewTick(t time.Duration) bool {
 	// Insert the dirty hosts by their new keys, largest first, each at
 	// its binary-searched position among the clean entries; every clean
 	// entry moves at most once.
-	slices.SortFunc(e.dirty, func(a, b int32) int { return viewCmp(v, a, b) })
+	slices.SortFunc(e.dirty, less)
 	out := len(order)
 	for d := len(e.dirty) - 1; d >= 0; d-- {
 		vi := e.dirty[d]
-		p := orderSearch(v, order[:clean], vi)
+		p, _ := slices.BinarySearchFunc(order[:clean], vi, less)
 		out -= clean - p
 		copy(order[out:], order[p:clean])
 		clean = p

@@ -108,7 +108,8 @@ func TestViewOrderRepair(t *testing.T) {
 	}
 
 	// A NaN demand, which VM.Validate lets through, has no place in the
-	// order; the repair must still keep Order a permutation of the hosts.
+	// policies' order; the repair must still keep Order a permutation of
+	// the hosts.
 	set(8, math.NaN())
 	set(20, 1)
 	now += time.Minute
