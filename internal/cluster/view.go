@@ -223,12 +223,12 @@ func (e *engine) viewTick(t time.Duration) bool {
 	}
 	v := &e.pview
 	order := v.Order
-	less := func(a, b int32) int { return viewCmp(v, a, b) }
+	byKey := func(a, b int32) int { return viewCmp(v, a, b) }
 	// Find every dirty host under its old key, before the refresh
 	// overwrites it.
 	e.dirtyPos = e.dirtyPos[:0]
 	for _, vi := range e.dirty {
-		p, found := slices.BinarySearchFunc(order, vi, less)
+		p, found := slices.BinarySearchFunc(order, vi, byKey)
 		if !found {
 			panic("cluster: view Order out of sync with its keys")
 		}
@@ -252,11 +252,11 @@ func (e *engine) viewTick(t time.Duration) bool {
 	// Insert the dirty hosts by their new keys, largest first, each at
 	// its binary-searched position among the clean entries; every clean
 	// entry moves at most once.
-	slices.SortFunc(e.dirty, less)
+	slices.SortFunc(e.dirty, byKey)
 	out := len(order)
 	for d := len(e.dirty) - 1; d >= 0; d-- {
 		vi := e.dirty[d]
-		p, _ := slices.BinarySearchFunc(order[:clean], vi, less)
+		p, _ := slices.BinarySearchFunc(order[:clean], vi, byKey)
 		out -= clean - p
 		copy(order[out:], order[p:clean])
 		clean = p
