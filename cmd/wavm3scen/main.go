@@ -90,7 +90,7 @@ func main() {
 			case c.Cluster != nil:
 				fmt.Printf("ok %-24s cluster: %d host(s)\n", specs[i].Name, len(c.Cluster.Config.Hosts))
 			case c.Plan != nil:
-				fmt.Printf("ok %-24s %d block(s)\n", specs[i].Name, len(c.Plan.Plan.Moves))
+				fmt.Printf("ok %-24s %d block(s)\n", specs[i].Name, len(c.Plan.Config.Moves))
 			default:
 				fmt.Printf("ok %-24s %d block(s)\n", specs[i].Name, len(c.Runs))
 			}

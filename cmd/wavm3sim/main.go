@@ -36,6 +36,8 @@ func main() {
 	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
 
+	ctx, cancel := common.Context()
+	defer cancel()
 	cache, err := common.Cache()
 	if err != nil {
 		fatal(err)
@@ -44,7 +46,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := experiments.Config{Pair: *pair, MinRuns: *runs, VarianceTol: 0.5, Seed: *seed, Workers: common.Workers, Cache: cache}
+	cfg := experiments.Config{Pair: *pair, MinRuns: *runs, VarianceTol: 0.5, Seed: *seed, Workers: common.Workers, Cache: cache, Ctx: ctx}
 	if *quick {
 		cfg.LoadLevels = []int{0, 8}
 		cfg.DirtyLevels = []units.Fraction{0.05, 0.95}
@@ -117,7 +119,12 @@ func sanitize(s string) string {
 	return s
 }
 
+// fatal reports err and exits: code 3 when -timeout expired, 1 for
+// every other failure.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "wavm3sim:", err)
+	if cliflags.IsDeadline(err) {
+		os.Exit(cliflags.ExitDeadline)
+	}
 	os.Exit(1)
 }

@@ -28,11 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	compiled, err := spec.Compile()
-	if err != nil {
-		log.Fatal(err)
-	}
-	hosts := compiled.Plan.Hosts
+	hosts := spec.HostStates()
 	fmt.Printf("loaded %q: %d hosts\n", spec.Name, len(hosts))
 
 	fmt.Println("training WAVM3 estimator...")

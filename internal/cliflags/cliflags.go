@@ -1,5 +1,5 @@
 // Package cliflags wires the simulation-driving flags every command
-// shares — -workers, -nocache, -cache-dir, -cache-backend, the store
+// shares — -workers, -nocache, -cache-dir, the store
 // resilience knobs (-cache-op-timeout, -cache-retries, -cache-breaker,
 // -cache-breaker-cooldown, -cache-chaos), -benchjson, -timeout,
 // -cpuprofile and -memprofile — so the binaries stay in flag parity by
@@ -44,11 +44,6 @@ type Common struct {
 	// sessions: a warm dir answers every cacheable kernel run from disk
 	// with bit-identical results.
 	CacheDir string
-	// CacheBackend selects the persistent store layout under -cache-dir:
-	// "dir" (flock-locked directory tree, cross-process singleflight) or
-	// "obj" (lockless object-store semantics — owner-wins conditional
-	// puts, no locking, the S3 shape).
-	CacheBackend string
 	// CacheOpTimeout bounds one persistent-store Get/Put/Quarantine so a
 	// hung store cannot stall a kernel run past it. 0 disables the bound.
 	CacheOpTimeout time.Duration
@@ -89,7 +84,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.IntVar(&c.Workers, "workers", 0, "concurrent simulations (0 = all CPUs, 1 = sequential; results identical)")
 	fs.BoolVar(&c.NoCache, "nocache", false, "disable the run cache (results identical, only slower)")
 	fs.StringVar(&c.CacheDir, "cache-dir", "", "persist run artefacts in this directory (created if missing; shareable across processes; results identical)")
-	fs.StringVar(&c.CacheBackend, "cache-backend", "dir", "persistent store layout under -cache-dir: dir (flock singleflight) or obj (lockless object-store semantics)")
 	fs.DurationVar(&c.CacheOpTimeout, "cache-op-timeout", 2*time.Second, "bound one persistent-store operation (0 = unbounded); a slower store degrades to misses, never stalls")
 	fs.IntVar(&c.CacheRetries, "cache-retries", 2, "re-attempts per failed store operation, with jittered backoff (0 = no retries)")
 	fs.IntVar(&c.CacheBreaker, "cache-breaker", 5, "consecutive store failures that open the circuit breaker and degrade the cache to memory-only (0 = no breaker)")
@@ -185,15 +179,7 @@ func (c *Common) Cache() (*sim.Cache, error) {
 		return sim.NewCache(0), nil
 	}
 	var store sim.CacheStore
-	var err error
-	switch c.CacheBackend {
-	case "", "dir":
-		store, err = sim.NewDirStore(c.CacheDir)
-	case "obj":
-		store, err = sim.NewObjStore(c.CacheDir)
-	default:
-		return nil, fmt.Errorf("cliflags: -cache-backend %q: want dir or obj", c.CacheBackend)
-	}
+	store, err := sim.NewDirStore(c.CacheDir)
 	if err != nil {
 		return nil, err
 	}

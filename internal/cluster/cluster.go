@@ -233,7 +233,7 @@ type Config struct {
 	Kind migration.Kind
 	// Pair optionally lowers every move onto one fixed testbed pair
 	// instead of the per-host machine models — the two-host
-	// approximation dcsim's compatibility wrapper uses. When empty, each
+	// approximation data-centre scenarios compile to. When empty, each
 	// move's pair is "srcMachine/dstMachine".
 	Pair string
 	// Policy re-plans the cluster at every tick; nil disables planning
@@ -462,7 +462,9 @@ func (c Config) check(keepHosts bool) (*checked, error) {
 		switch {
 		case m.VM == "":
 			return nil, fmt.Errorf("cluster: move %d has no VM", i)
-		case dispatched[m.VM][m.At]:
+		case !c.Serial && dispatched[m.VM][m.At]:
+			// Serial moves all carry At zero and chain one after another,
+			// so moving a VM again is a later move, not a duplicate.
 			return nil, fmt.Errorf("cluster: move %d dispatches VM %q twice at %v", i, m.VM, m.At)
 		case !k.hasVM(m.VM):
 			return nil, fmt.Errorf("cluster: move %d references unknown VM %q", i, m.VM)

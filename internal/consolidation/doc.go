@@ -13,10 +13,10 @@
 //
 // Position in the data flow (see ARCHITECTURE.md): a Policy turns a
 // []HostState into a Plan of Moves; the wavm3 package adapts its trained
-// Estimator into the CostModel the energy-aware policy prices with, and
-// internal/dcsim executes a finished Plan move by move as measured
-// migration simulations. Data-centre scenarios in the scenario library
-// (internal/scenario) describe HostStates declaratively and default to
-// the first-fit-decreasing policy, the only planner that needs no trained
-// model.
+// Estimator into the CostModel the energy-aware policy prices with.
+// Data-centre scenarios in the scenario library (internal/scenario)
+// describe HostStates declaratively, default to the first-fit-decreasing
+// policy, the only planner that needs no trained model, and compile the
+// finished Plan into a serial internal/cluster timeline that executes it
+// move by move as measured migration simulations.
 package consolidation

@@ -1,7 +1,8 @@
 // Package parallel is the concurrent experiment engine: a bounded worker
-// pool plus ordered-results collection that the experiments, sim and dcsim
-// layers use to fan independent work items — experimental points, repeated
-// runs, migration moves — out across CPUs without changing results.
+// pool plus ordered-results collection that the experiments, sim and
+// cluster layers use to fan independent work items — experimental points,
+// repeated runs, migration moves — out across CPUs without changing
+// results.
 //
 // Determinism contract: every helper in this package dispatches work items
 // in index order, collects results by index, and reports the error of the

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/consolidation"
-	"repro/internal/dcsim"
 	"repro/internal/migration"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -42,38 +41,25 @@ type Run struct {
 	VarianceTol float64
 }
 
-// PlanRun is the compiled form of a data-centre scenario: a host
-// population and an explicit move plan for the dcsim executor. Workers
-// and Cache on the Executor are left to the caller.
-type PlanRun struct {
-	// Policy labels the execution report ("scenario/<name>" or the
-	// planning policy that produced implicit moves).
-	Policy string
-	// Hosts is the pre-plan data-centre state.
-	Hosts []consolidation.HostState
-	// Plan holds the moves in execution order.
-	Plan *consolidation.Plan
-	// Executor is pre-configured with the spec's pair, kind and seed.
-	Executor dcsim.Executor
-}
-
-// ClusterRun is the compiled form of a cluster scenario: a ready
-// cluster.Config with Workers and Cache left to the caller.
+// ClusterRun is the compiled form of a cluster or data-centre scenario:
+// a ready cluster.Config with Workers, Cache and Ctx left to the caller.
 type ClusterRun struct {
 	// Policy labels the timeline in reports: the planning policy, or
-	// "timeline" for explicit move lists.
+	// "timeline" for a cluster's explicit move list and
+	// "scenario/<name>" for a data-centre one.
 	Policy string
 	// Config is the lowered engine input.
 	Config cluster.Config
 }
 
 // Compiled is everything a spec lowers to. Exactly one of Runs (migration
-// scenarios, one entry per phase), Plan (data-centre scenarios) or
-// Cluster (N-host timelines) is populated.
+// scenarios, one entry per phase), Plan (data-centre scenarios: a serial
+// timeline on the spec's testbed pair) or Cluster (N-host timelines) is
+// populated.
 type Compiled struct {
 	Spec    *Spec
 	Runs    []Run
-	Plan    *PlanRun
+	Plan    *ClusterRun
 	Cluster *ClusterRun
 }
 
@@ -81,15 +67,15 @@ type Compiled struct {
 // result is deterministic: the same spec compiles to the same scenarios
 // — and therefore the same run-cache keys — in every session.
 func (s *Spec) Compile() (*Compiled, error) {
-	cfg, err := s.validate()
+	run, err := s.validate()
 	if err != nil {
 		return nil, err
 	}
-	if s.Datacenter != nil {
-		return s.compileDatacenter()
-	}
-	if cfg != nil {
-		return s.compileCluster(*cfg), nil
+	switch {
+	case s.Datacenter != nil:
+		return &Compiled{Spec: s, Plan: run}, nil
+	case s.Cluster != nil:
+		return &Compiled{Spec: s, Cluster: run}, nil
 	}
 	base, err := s.baseScenario()
 	if err != nil {
@@ -184,8 +170,9 @@ func (s *Spec) baseScenario() (sim.Scenario, error) {
 	return sc, nil
 }
 
-// hostStates lowers the datacenter host specs.
-func (s *Spec) hostStates() ([]consolidation.HostState, error) {
+// HostStates lowers a data-centre spec's hosts into the planning
+// states the consolidation policies read.
+func (s *Spec) HostStates() []consolidation.HostState {
 	dc := s.Datacenter
 	hosts := make([]consolidation.HostState, 0, len(dc.Hosts))
 	for _, h := range dc.Hosts {
@@ -205,7 +192,7 @@ func (s *Spec) hostStates() ([]consolidation.HostState, error) {
 		}
 		hosts = append(hosts, hs)
 	}
-	return hosts, nil
+	return hosts
 }
 
 // gib converts a fractional GiB count to bytes.
@@ -213,44 +200,40 @@ func gib(n float64) units.Bytes {
 	return units.Bytes(n * float64(units.GiB))
 }
 
-// compileDatacenter lowers the data-centre form of the spec.
-func (s *Spec) compileDatacenter() (*Compiled, error) {
-	kind, err := s.kind()
-	if err != nil {
-		return nil, errf(s.Name, "kind", "%v", err)
-	}
-	hosts, err := s.hostStates()
-	if err != nil {
-		return nil, err
-	}
-	pr := &PlanRun{
+// datacenterRun lowers the validated data-centre hosts into a serial
+// cluster timeline on the spec's testbed pair: the explicit moves or,
+// without any, the energy-blind first-fit-decreasing plan — the only
+// built-in planner that needs no trained estimator, so the timeline
+// stays deterministic data — run one after another, each seeing the
+// moves before it landed.
+func (s *Spec) datacenterRun(kind migration.Kind, hosts []consolidation.HostState) (*ClusterRun, error) {
+	run := &ClusterRun{
 		Policy: "scenario/" + s.Name,
-		Hosts:  hosts,
-		Executor: dcsim.Executor{
-			Pair: s.pair(),
-			Kind: kind,
-			Seed: s.EffectiveSeed(),
-		},
+		Config: cluster.Config{Kind: kind, Pair: s.pair(), Seed: s.EffectiveSeed(), Serial: true},
 	}
-	if len(s.Datacenter.Moves) > 0 {
-		plan := &consolidation.Plan{}
-		for _, mv := range s.Datacenter.Moves {
-			plan.Moves = append(plan.Moves, consolidation.Move{VM: mv.VM, From: mv.From, To: mv.To})
+	for _, h := range hosts {
+		ch := cluster.Host{Name: h.Name, Threads: h.Threads, MemBytes: h.MemBytes, IdlePower: h.IdlePower}
+		for _, v := range h.VMs {
+			ch.VMs = append(ch.VMs, cluster.VM{Name: v.Name, MemBytes: v.MemBytes, BusyVCPUs: v.BusyVCPUs, DirtyRatio: v.DirtyRatio})
 		}
-		pr.Plan = plan
-	} else {
-		// No explicit moves: plan with the energy-blind first-fit-
-		// decreasing policy, the only built-in planner that needs no
-		// trained estimator — keeping compilation deterministic data.
-		ffd := consolidation.FirstFitDecreasing{}
-		plan, err := ffd.Plan(hosts, consolidation.Config{})
-		if err != nil {
-			return nil, errf(s.Name, "datacenter", "planning moves with %s: %v", ffd.Name(), err)
-		}
-		pr.Policy = ffd.Name()
-		pr.Plan = plan
+		run.Config.Hosts = append(run.Config.Hosts, ch)
 	}
-	return &Compiled{Spec: s, Plan: pr}, nil
+	for _, mv := range s.Datacenter.Moves {
+		run.Config.Moves = append(run.Config.Moves, cluster.TimedMove{VM: mv.VM, From: mv.From, To: mv.To})
+	}
+	if len(run.Config.Moves) > 0 {
+		return run, nil
+	}
+	ffd := consolidation.FirstFitDecreasing{}
+	plan, err := ffd.Plan(hosts, consolidation.Config{})
+	if err != nil {
+		return nil, errf(s.Name, "datacenter", "planning moves with %s: %v", ffd.Name(), err)
+	}
+	run.Policy = ffd.Name()
+	for _, m := range plan.Moves {
+		run.Config.Moves = append(run.Config.Moves, cluster.TimedMove{VM: m.VM, From: m.From, To: m.To})
+	}
+	return run, nil
 }
 
 // clusterConfig assembles the engine's Config around the already
@@ -295,13 +278,4 @@ func (s *Spec) clusterConfig(kind migration.Kind, hosts []cluster.Host) cluster.
 	}
 	cfg.EvacuationDeadline = time.Duration(c.EvacuationDeadlineS * float64(time.Second))
 	return cfg
-}
-
-// compileCluster wraps the validated, lowered cluster config.
-func (s *Spec) compileCluster(cfg cluster.Config) *Compiled {
-	policy := "timeline"
-	if cfg.Policy != nil {
-		policy = cfg.Policy.Name()
-	}
-	return &Compiled{Spec: s, Cluster: &ClusterRun{Policy: policy, Config: cfg}}
 }

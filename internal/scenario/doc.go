@@ -11,7 +11,8 @@
 // internal/workload), migration-engine and power-meter overrides, repeat
 // policy, and, for data-centre scenarios, a host population with an
 // optional explicit move plan. Compile lowers a Spec into sim.Scenario
-// values (one per phase) or a dcsim execution, and Validate rejects bad
+// values (one per phase) or a cluster.Config timeline — serial on the
+// spec's testbed pair for a data-centre plan — and Validate rejects bad
 // specs with pathed errors ("phases[2].duration_s: …") that point at the
 // offending JSON field.
 //

@@ -216,16 +216,16 @@ func runLibrary(t *testing.T) *golden {
 			continue
 		}
 		if c.Plan != nil {
-			ex := c.Plan.Executor
-			ex.Cache = cache
-			rep, err := ex.ExecutePlan(c.Plan.Policy, c.Plan.Plan, c.Plan.Hosts)
+			cfg := c.Plan.Config
+			cfg.Cache = cache
+			rep, err := cluster.Run(cfg)
 			if err != nil {
 				t.Fatalf("executing %s: %v", s.Name, err)
 			}
-			for _, mv := range rep.Moves {
+			for _, mv := range rep.Timeline {
 				out.Moves[s.Name] = append(out.Moves[s.Name], goldenMove{
-					VM:        mv.Move.VM,
-					EnergyJ:   float64(mv.MeasuredEnergy),
+					VM:        mv.VM,
+					EnergyJ:   float64(mv.Energy),
 					DurationS: mv.Duration.Seconds(),
 					Bytes:     int64(mv.BytesSent),
 				})

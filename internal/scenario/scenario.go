@@ -88,7 +88,8 @@ type Spec struct {
 	Repeat *Repeat `json:"repeat,omitempty"`
 	// Datacenter turns the spec into a data-centre scenario: a host
 	// population whose consolidation plan is executed move by move as
-	// measured migrations (dcsim). Mutually exclusive with Migrating.
+	// measured migrations (a serial cluster timeline on the spec's
+	// testbed pair). Mutually exclusive with Migrating.
 	Datacenter *Datacenter `json:"datacenter,omitempty"`
 	// Cluster turns the spec into an N-host discrete-event timeline: a
 	// host population built from hw catalog machine models, evolved
@@ -569,9 +570,9 @@ func (s *Spec) Validate() error {
 	return err
 }
 
-// validate is Validate returning, for a cluster spec, the lowered engine
-// config its checks built (nil for the other forms).
-func (s *Spec) validate() (*cluster.Config, error) {
+// validate is Validate returning, for a cluster or data-centre spec, the
+// lowered timeline its checks built (nil for the migration form).
+func (s *Spec) validate() (*ClusterRun, error) {
 	name := s.Name
 	if s.Version != CurrentVersion {
 		return nil, errf(name, "version", "unsupported version %d (this build reads version %d)", s.Version, CurrentVersion)
@@ -599,14 +600,18 @@ func (s *Spec) validate() (*cluster.Config, error) {
 		return nil, errf(name, "cluster", "mutually exclusive with \"datacenter\"; pick one form")
 	}
 	if s.Datacenter != nil {
-		return nil, s.validateDatacenter(kind)
+		return s.validateDatacenter(kind)
 	}
 	if s.Cluster != nil {
 		cfg, err := s.validateCluster(kind)
 		if err != nil {
 			return nil, err
 		}
-		return &cfg, nil
+		policy := "timeline"
+		if cfg.Policy != nil {
+			policy = cfg.Policy.Name()
+		}
+		return &ClusterRun{Policy: policy, Config: cfg}, nil
 	}
 	return nil, s.validateMigrationRun(name)
 }
@@ -707,32 +712,30 @@ func (s *Spec) validateMigrationRun(name string) error {
 	return nil
 }
 
-// validateDatacenter checks the data-centre form of the spec.
-func (s *Spec) validateDatacenter(kind migration.Kind) error {
+// validateDatacenter checks the data-centre form of the spec and returns
+// its lowered serial timeline (see datacenterRun).
+func (s *Spec) validateDatacenter(kind migration.Kind) (*ClusterRun, error) {
 	name := s.Name
 	if s.Migrating.Workload.Profile != "" || s.Migrating.Type != "" {
-		return errf(name, "migrating", "unused in data-centre scenarios (the plan's moves select the workloads)")
+		return nil, errf(name, "migrating", "unused in data-centre scenarios (the plan's moves select the workloads)")
 	}
 	if len(s.Phases) > 0 {
-		return errf(name, "phases", "unused in data-centre scenarios")
+		return nil, errf(name, "phases", "unused in data-centre scenarios")
 	}
 	if s.SourceLoadVMs != 0 || s.TargetLoadVMs != 0 {
-		return errf(name, "source_load_vms/target_load_vms", "unused in data-centre scenarios (host load comes from the hosts' resident VMs)")
+		return nil, errf(name, "source_load_vms/target_load_vms", "unused in data-centre scenarios (host load comes from the hosts' resident VMs)")
 	}
 	if s.LoadWorkload != nil {
-		return errf(name, "load_workload", "unused in data-centre scenarios")
+		return nil, errf(name, "load_workload", "unused in data-centre scenarios")
 	}
 	if kind == migration.PostCopy {
-		return errf(name, "kind", "post-copy is not supported for data-centre plans")
+		return nil, errf(name, "kind", "post-copy is not supported for data-centre plans")
 	}
 	dc := s.Datacenter
 	if len(dc.Hosts) < 2 {
-		return errf(name, "datacenter.hosts", "need at least 2 hosts, got %d", len(dc.Hosts))
+		return nil, errf(name, "datacenter.hosts", "need at least 2 hosts, got %d", len(dc.Hosts))
 	}
-	hosts, err := s.hostStates()
-	if err != nil {
-		return err
-	}
+	hosts := s.HostStates()
 	// Replay the explicit moves against the evolving placement so a move
 	// referencing a VM after it has left its host fails here, not at run
 	// time.
@@ -740,15 +743,15 @@ func (s *Spec) validateDatacenter(kind migration.Kind) error {
 	hostSet := make(map[string]bool, len(hosts))
 	for hi, h := range hosts {
 		if err := h.Validate(); err != nil {
-			return errf(name, fmt.Sprintf("datacenter.hosts[%d]", hi), "%v", err)
+			return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d]", hi), "%v", err)
 		}
 		if hostSet[h.Name] {
-			return errf(name, fmt.Sprintf("datacenter.hosts[%d].name", hi), "duplicate host %q", h.Name)
+			return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d].name", hi), "duplicate host %q", h.Name)
 		}
 		hostSet[h.Name] = true
 		for _, v := range h.VMs {
 			if prev, dup := placement[v.Name]; dup {
-				return errf(name, fmt.Sprintf("datacenter.hosts[%d].vms", hi), "VM %q already on host %q", v.Name, prev)
+				return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d].vms", hi), "VM %q already on host %q", v.Name, prev)
 			}
 			placement[v.Name] = h.Name
 		}
@@ -757,32 +760,32 @@ func (s *Spec) validateDatacenter(kind migration.Kind) error {
 		path := fmt.Sprintf("datacenter.moves[%d]", mi)
 		switch {
 		case mv.VM == "":
-			return errf(name, path+".vm", "required")
+			return nil, errf(name, path+".vm", "required")
 		case !hostSet[mv.From]:
-			return errf(name, path+".from", "unknown host %q", mv.From)
+			return nil, errf(name, path+".from", "unknown host %q", mv.From)
 		case !hostSet[mv.To]:
-			return errf(name, path+".to", "unknown host %q", mv.To)
+			return nil, errf(name, path+".to", "unknown host %q", mv.To)
 		case mv.From == mv.To:
-			return errf(name, path+".to", "move must change hosts, both are %q", mv.To)
+			return nil, errf(name, path+".to", "move must change hosts, both are %q", mv.To)
 		}
 		at, ok := placement[mv.VM]
 		if !ok {
-			return errf(name, path+".vm", "unknown VM %q", mv.VM)
+			return nil, errf(name, path+".vm", "unknown VM %q", mv.VM)
 		}
 		if at != mv.From {
-			return errf(name, path+".from", "VM %q is on host %q at this point in the plan, not %q", mv.VM, at, mv.From)
+			return nil, errf(name, path+".from", "VM %q is on host %q at this point in the plan, not %q", mv.VM, at, mv.From)
 		}
 		placement[mv.VM] = mv.To
 	}
 	if r := s.Repeat; r != nil {
-		return errf(name, "repeat", "unused in data-centre scenarios (each move runs once)")
+		return nil, errf(name, "repeat", "unused in data-centre scenarios (each move runs once)")
 	}
 	if s.Meter != nil || s.Migration != nil || s.Timing != nil {
-		// The dcsim executor derives per-move scenarios itself; overrides
+		// The cluster engine derives per-move scenarios itself; overrides
 		// that would silently not apply are rejected.
-		return errf(name, "meter/migration/timing", "unused in data-centre scenarios")
+		return nil, errf(name, "meter/migration/timing", "unused in data-centre scenarios")
 	}
-	return nil
+	return s.datacenterRun(kind, hosts)
 }
 
 // Cluster policy names.

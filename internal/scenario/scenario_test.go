@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/hw"
 	"repro/internal/migration"
 	"repro/internal/vm"
 )
@@ -233,6 +235,10 @@ func TestDatacenterValidationPaths(t *testing.T) {
 		{"stale placement", func(s *Spec) {
 			s.Datacenter.Moves = append(s.Datacenter.Moves, MoveSpec{VM: "v1", From: "a", To: "b"})
 		}, "datacenter.moves[1].from"},
+		{"unplannable", func(s *Spec) {
+			s.Datacenter.Moves = nil
+			s.Datacenter.Hosts[0].VMs[0].BusyVCPUs = 40 // fits no 32-thread host
+		}, "datacenter"},
 		{"repeat set", func(s *Spec) { s.Repeat = &Repeat{MinRuns: 3} }, "repeat"},
 		{"meter set", func(s *Spec) { s.Meter = &Meter{PeriodMS: 1000} }, "meter"},
 		{"load vms set", func(s *Spec) { s.SourceLoadVMs = 2 }, "source_load_vms"},
@@ -269,14 +275,21 @@ func TestDatacenterCompile(t *testing.T) {
 	if c.Plan == nil || len(c.Runs) != 0 {
 		t.Fatalf("datacenter spec compiled to runs=%d plan=%v", len(c.Runs), c.Plan)
 	}
-	if c.Plan.Executor.Kind != migration.NonLive {
-		t.Errorf("executor kind = %v", c.Plan.Executor.Kind)
+	cfg := c.Plan.Config
+	if !cfg.Serial || cfg.Pair != hw.PairM || cfg.Policy != nil {
+		t.Errorf("plan timeline serial=%v pair=%q policy=%v, want a serial %s timeline without a policy", cfg.Serial, cfg.Pair, cfg.Policy, hw.PairM)
 	}
-	if len(c.Plan.Plan.Moves) != 1 || c.Plan.Plan.Moves[0].VM != "v1" {
-		t.Errorf("plan moves = %+v", c.Plan.Plan.Moves)
+	if cfg.Kind != migration.NonLive {
+		t.Errorf("timeline kind = %v", cfg.Kind)
 	}
-	if c.Plan.Executor.Seed != s.EffectiveSeed() {
-		t.Errorf("executor seed = %d, want %d", c.Plan.Executor.Seed, s.EffectiveSeed())
+	if len(cfg.Moves) != 1 || cfg.Moves[0] != (cluster.TimedMove{VM: "v1", From: "a", To: "b"}) {
+		t.Errorf("timeline moves = %+v", cfg.Moves)
+	}
+	if cfg.Seed != s.EffectiveSeed() {
+		t.Errorf("timeline seed = %d, want %d", cfg.Seed, s.EffectiveSeed())
+	}
+	if c.Plan.Policy != "scenario/dc-compile" {
+		t.Errorf("policy = %q", c.Plan.Policy)
 	}
 }
 
@@ -299,7 +312,7 @@ func TestDatacenterImplicitFFDPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Plan.Plan == nil {
+	if c.Plan == nil || len(c.Plan.Config.Moves) == 0 {
 		t.Fatal("no implicit plan")
 	}
 	if c.Plan.Policy != "first-fit-decreasing" {

@@ -164,27 +164,39 @@ func expectedFor(t *testing.T, which string) []byte {
 	}
 }
 
-// TestTimeoutFlagExitCode: wavm3scen under an expiring -timeout aborts
-// at a cancellation boundary and exits with the documented code 3.
+// TestTimeoutFlagExitCode: every simulation command under an expiring
+// -timeout aborts at a cancellation boundary and exits with the
+// documented code 3. Each run below takes about a second unbounded.
 func TestTimeoutFlagExitCode(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs a real CLI process")
+		t.Skip("builds and runs real CLI processes")
 	}
-	bin := buildTool(t, "wavm3scen")
 	specFile := filepath.Join(t.TempDir(), "slow.json")
 	if err := os.WriteFile(specFile, []byte(slowSpecJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-timeout", "150ms", specFile)
-	out, err := cmd.CombinedOutput()
-	var exitErr *exec.ExitError
-	if err == nil || !errors.As(err, &exitErr) {
-		t.Fatalf("expected a non-zero exit, got err=%v\n%s", err, out)
-	}
-	if code := exitErr.ExitCode(); code != cliflags.ExitDeadline {
-		t.Fatalf("exit code = %d, want %d\n%s", code, cliflags.ExitDeadline, out)
-	}
-	if !strings.Contains(string(out), "deadline") {
-		t.Errorf("stderr does not mention the deadline:\n%s", out)
+	for _, tc := range []struct {
+		tool string
+		args []string
+	}{
+		{"wavm3scen", []string{specFile}},
+		{"wavm3sim", []string{"-family", "MEMLOAD-VM"}},
+		{"wavm3fit", []string{"-quick"}},
+	} {
+		t.Run(tc.tool, func(t *testing.T) {
+			bin := buildTool(t, tc.tool)
+			cmd := exec.Command(bin, append([]string{"-timeout", "150ms"}, tc.args...)...)
+			out, err := cmd.CombinedOutput()
+			var exitErr *exec.ExitError
+			if err == nil || !errors.As(err, &exitErr) {
+				t.Fatalf("expected a non-zero exit, got err=%v\n%s", err, out)
+			}
+			if code := exitErr.ExitCode(); code != cliflags.ExitDeadline {
+				t.Fatalf("exit code = %d, want %d\n%s", code, cliflags.ExitDeadline, out)
+			}
+			if !strings.Contains(string(out), "deadline") {
+				t.Errorf("stderr does not mention the deadline:\n%s", out)
+			}
+		})
 	}
 }

@@ -26,20 +26,29 @@ type ExecResult struct {
 // and the CLI's stdout stay byte-identical by construction, which is
 // what the CI smoke test pins. Output is written progressively; callers
 // that must not emit partial output on failure (HTTP handlers) pass a
-// buffer.
+// buffer. Cluster and data-centre scenarios run through the same
+// cluster engine call; only their rendering differs.
 func Exec(ctx context.Context, w io.Writer, c *scenario.Compiled, workers int, cache *sim.Cache) (*ExecResult, error) {
+	cr := c.Cluster
 	switch {
-	case c.Cluster != nil:
-		rep, err := execCluster(ctx, w, c.Spec, c.Cluster, workers, cache)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Cluster: rep}, nil
+	case cr != nil:
+		fmt.Fprintf(w, "== %s (cluster: %d hosts, %s)\n", c.Spec.Name, len(cr.Config.Hosts), cr.Policy)
 	case c.Plan != nil:
-		return &ExecResult{}, execPlan(w, c.Spec, c.Plan, workers, cache)
+		cr = c.Plan
+		fmt.Fprintf(w, "== %s (plan: %s)\n", c.Spec.Name, cr.Policy)
 	default:
 		return &ExecResult{}, execRuns(ctx, w, c.Spec, c.Runs, workers, cache)
 	}
+	rep, err := experiments.RunCluster(experiments.Config{Workers: workers, Cache: cache, Ctx: ctx}, cr.Config)
+	if err != nil {
+		return nil, err
+	}
+	if c.Plan != nil {
+		renderPlan(w, rep)
+		return &ExecResult{}, nil
+	}
+	renderCluster(w, cr, rep)
+	return &ExecResult{Cluster: rep}, nil
 }
 
 // execRuns executes the migration blocks of one spec and prints one
@@ -77,39 +86,23 @@ func printRunLine(w io.Writer, label string, runs []*sim.RunResult) {
 		label, b.Runs, b.SourceJ/1e3, b.TargetJ/1e3, b.TotalJ()/1e3, b.MovedGiB(), b.Rounds, b.DowntimeS, b.DurationS)
 }
 
-// execPlan executes a data-centre scenario's move plan. The dcsim
-// executor predates the context plumbing and plans are short; it runs
-// uncancellable.
-func execPlan(w io.Writer, s *scenario.Spec, pr *scenario.PlanRun, workers int, cache *sim.Cache) error {
-	fmt.Fprintf(w, "== %s (plan: %s)\n", s.Name, pr.Policy)
-	ex := pr.Executor
-	ex.Workers = workers
-	ex.Cache = cache
-	rep, err := ex.ExecutePlan(pr.Policy, pr.Plan, pr.Hosts)
-	if err != nil {
-		return err
-	}
-	for _, mv := range rep.Moves {
+// renderPlan prints a data-centre scenario's serial timeline: one line
+// per move, then the total. A serial timeline's energy and makespan are
+// its moves' sums in timeline order.
+func renderPlan(w io.Writer, rep *cluster.Report) {
+	for _, mv := range rep.Timeline {
 		fmt.Fprintf(w, "   move %-14s %-12s -> %-12s  %8.3f kJ  %6.1fs  %6.2f GiB\n",
-			mv.Move.VM, mv.Move.From, mv.Move.To,
-			mv.MeasuredEnergy.KiloJoules(), mv.Duration.Seconds(), float64(mv.BytesSent)/float64(units.GiB))
+			mv.VM, mv.From, mv.To,
+			mv.Energy.KiloJoules(), mv.Duration.Seconds(), float64(mv.BytesSent)/float64(units.GiB))
 	}
 	fmt.Fprintf(w, "   total %d move(s)  %8.3f kJ  %6.1fs\n",
-		len(rep.Moves), rep.Total.KiloJoules(), rep.Elapsed.Seconds())
-	return nil
+		len(rep.Timeline), rep.TotalEnergy.KiloJoules(), rep.Makespan.Seconds())
 }
 
-// execCluster executes an N-host cluster timeline: ticks, phase shifts,
+// renderCluster prints an N-host cluster timeline: ticks, phase shifts,
 // migrations — and, under failure injection, aborts and the SLO scores —
-// are printed as deterministic sections, every energy
-// contention-adjusted. The report is returned so callers can record the
-// SLO outcome in benchmark artefacts.
-func execCluster(ctx context.Context, w io.Writer, s *scenario.Spec, cr *scenario.ClusterRun, workers int, cache *sim.Cache) (*cluster.Report, error) {
-	fmt.Fprintf(w, "== %s (cluster: %d hosts, %s)\n", s.Name, len(cr.Config.Hosts), cr.Policy)
-	rep, err := experiments.RunCluster(experiments.Config{Workers: workers, Cache: cache, Ctx: ctx}, cr.Config)
-	if err != nil {
-		return nil, err
-	}
+// as deterministic sections, every energy contention-adjusted.
+func renderCluster(w io.Writer, cr *scenario.ClusterRun, rep *cluster.Report) {
 	for _, tick := range rep.Ticks {
 		fmt.Fprintf(w, "   tick  t=%9.1fs  planned %2d move(s)  %d pinned\n",
 			tick.At.Seconds(), tick.Moves, tick.Pinned)
@@ -146,5 +139,4 @@ func execCluster(ctx context.Context, w io.Writer, s *scenario.Spec, cr *scenari
 	}
 	fmt.Fprintf(w, "   total %d move(s)  %9.3f kJ  makespan %9.1fs\n",
 		len(rep.Timeline), rep.TotalEnergy.KiloJoules(), rep.Makespan.Seconds())
-	return rep, nil
 }

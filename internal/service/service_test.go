@@ -102,6 +102,42 @@ func expectExec(t *testing.T, spec *scenario.Spec) []byte {
 	return buf.Bytes()
 }
 
+// TestExecPlanHonoursContext: data-centre plans run through the same
+// engine call as cluster timelines, so a cancelled request or an
+// expired deadline stops them with the context's error.
+func TestExecPlanHonoursContext(t *testing.T) {
+	spec, err := scenario.Load(filepath.Join(scenarioDir, "drain-for-maintenance.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Plan == nil {
+		t.Fatal("drain-for-maintenance no longer compiles to a plan")
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"cancelled", cancelled, context.Canceled},
+		{"deadline", expired, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, err := Exec(tc.ctx, &buf, c, 1, nil); !errors.Is(err, tc.want) {
+				t.Fatalf("Exec = %v, want %v\n%s", err, tc.want, buf.Bytes())
+			}
+		})
+	}
+}
+
 func TestHealthAndReady(t *testing.T) {
 	_, url := newTestServer(t, Config{})
 	for _, ep := range []string{"/healthz", "/readyz"} {

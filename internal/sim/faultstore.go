@@ -113,8 +113,8 @@ func parseRate(v string) (float64, error) {
 // wrong byte — under test and in CI, against the real store layouts.
 //
 // Construct with NewFaultStore, which preserves the inner store's
-// CacheLocker-ness (a FaultStore over a DirStore still offers Lock, a
-// FaultStore over an ObjStore does not). Close releases any injected
+// CacheLocker-ness (a FaultStore over a DirStore still offers Lock, one
+// over a store without locking does not). Close releases any injected
 // hangs still in flight and closes the inner store if it is closeable.
 type FaultStore struct {
 	inner CacheStore

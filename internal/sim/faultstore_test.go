@@ -98,12 +98,8 @@ func TestFaultStorePreservesLockerShape(t *testing.T) {
 	if _, ok := NewFaultStore(dir, FaultConfig{}).(CacheLocker); !ok {
 		t.Error("faulty DirStore lost its locker")
 	}
-	obj, err := NewObjStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := NewFaultStore(obj, FaultConfig{}).(CacheLocker); ok {
-		t.Error("faulty ObjStore invented a locker")
+	if _, ok := NewFaultStore(newLocklessStore(t, t.TempDir()), FaultConfig{}).(CacheLocker); ok {
+		t.Error("faulty lockless store invented a locker")
 	}
 }
 

@@ -398,11 +398,7 @@ func TestResilientStorePreservesLockerShape(t *testing.T) {
 	if _, ok := NewResilientStore(dir, ResilienceConfig{}).(CacheLocker); !ok {
 		t.Error("resilient DirStore lost its locker")
 	}
-	obj, err := NewObjStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := NewResilientStore(obj, ResilienceConfig{}).(CacheLocker); ok {
-		t.Error("resilient ObjStore invented a locker")
+	if _, ok := NewResilientStore(newLocklessStore(t, t.TempDir()), ResilienceConfig{}).(CacheLocker); ok {
+		t.Error("resilient lockless store invented a locker")
 	}
 }

@@ -90,18 +90,15 @@ func NewDirStore(dir string) (*DirStore, error) {
 // Dir returns the store's root directory.
 func (s *DirStore) Dir() string { return s.dir }
 
-// checkArtefactName refuses names that could escape a store directory or
+// checkName refuses names that could escape the store directory or
 // collide with its internals. Cache-layer names are hex hashes plus a
-// version suffix, so anything else indicates a bug. Shared by every
-// dir-backed store (DirStore, ObjStore).
-func checkArtefactName(name string) error {
+// version suffix, so anything else indicates a bug.
+func (s *DirStore) checkName(name string) error {
 	if name == "" || name == quarantineDir || strings.ContainsAny(name, "/\\") || strings.HasPrefix(name, ".") {
 		return fmt.Errorf("sim: invalid artefact name %q", name)
 	}
 	return nil
 }
-
-func (s *DirStore) checkName(name string) error { return checkArtefactName(name) }
 
 // syncDir flushes a directory's entry table so a just-renamed file
 // survives power loss. Best-effort: a filesystem that cannot fsync a
