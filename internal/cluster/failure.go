@@ -313,25 +313,30 @@ func (e *engine) scoreSLO() {
 // Horizon, last breakpoint)]. Every sum runs in a fixed, documented
 // order (hosts by name, crashes in event order, migrations in dispatch
 // order, aborts in abort order), so the floats are bit-identical across
-// schedulers, workers and cache settings.
+// schedulers, workers and cache settings. The idle floor and the
+// migration power are kept in separate accumulators, and the migration
+// one is reset to exactly 0 whenever no span is open: a span's +p and
+// −p need not cancel in float once other spans interleave, and the
+// residue must not leak into the floor.
 func (e *engine) buildPowerTrace() {
 	type delta struct {
-		at time.Duration
-		dw float64
+		at   time.Duration
+		dw   float64
+		open int // +1 opens a migration span, −1 closes one, 0 moves the idle floor
 	}
 	deltas := make([]delta, 0, 1+len(e.fail.crashes)+2*(len(e.rep.Timeline)+len(e.rep.Aborted)))
 	base := 0.0
 	for _, h := range e.hosts {
 		base += float64(h.IdlePower)
 	}
-	deltas = append(deltas, delta{0, base})
+	deltas = append(deltas, delta{0, base, 0})
 	for _, c := range e.fail.crashes {
-		deltas = append(deltas, delta{c.at, -float64(c.host.IdlePower)})
+		deltas = append(deltas, delta{c.at, -float64(c.host.IdlePower), 0})
 	}
 	span := func(start, end time.Duration, energy units.Joules) {
 		if d := end - start; d > 0 && energy != 0 {
 			p := float64(energy) / d.Seconds()
-			deltas = append(deltas, delta{start, p}, delta{end, -p})
+			deltas = append(deltas, delta{start, p, 1}, delta{end, -p, -1})
 		}
 	}
 	for _, rec := range e.rep.Timeline {
@@ -349,6 +354,7 @@ func (e *engine) buildPowerTrace() {
 	if n := len(deltas); n > 0 && deltas[n-1].at > end {
 		end = deltas[n-1].at
 	}
+	floor, mig, open := 0.0, 0.0, 0
 	watts := 0.0
 	energy := 0.0
 	var trace []PowerPoint
@@ -358,9 +364,18 @@ func (e *engine) buildPowerTrace() {
 			energy += watts * (at - trace[len(trace)-1].At).Seconds()
 		}
 		for i < len(deltas) && deltas[i].at == at {
-			watts += deltas[i].dw
+			if d := deltas[i]; d.open == 0 {
+				floor += d.dw
+			} else {
+				mig += d.dw
+				open += d.open
+			}
 			i++
 		}
+		if open == 0 {
+			mig = 0
+		}
+		watts = floor + mig
 		trace = append(trace, PowerPoint{At: at, Watts: units.Watts(watts)})
 	}
 	if len(trace) > 0 && end > trace[len(trace)-1].At {

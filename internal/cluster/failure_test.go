@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -407,6 +408,40 @@ func TestPowerTraceIntegral(t *testing.T) {
 	clast := crep.PowerTrace[len(crep.PowerTrace)-1]
 	if clast.At != crashAt || float64(clast.Watts) != idle-h01 {
 		t.Errorf("post-crash floor = %v W at %v, want %v W at %v", clast.Watts, clast.At, idle-h01, crashAt)
+	}
+}
+
+// TestPowerTraceOverlapReturnsToFloor builds the trace for two
+// overlapping spans whose +p/−p leave a residue when summed in one
+// running float (430 + p1 + p2 − p1 − p2 = 430.0000000000002): once no
+// span is open the trace must sit exactly on the idle floor, and the
+// integral must charge the floor over the whole span.
+func TestPowerTraceOverlapReturnsToFloor(t *testing.T) {
+	e := &engine{
+		hosts: []*hostRT{
+			{resolved: resolved{Host: Host{Name: "h00", IdlePower: 250}}},
+			{resolved: resolved{Host: Host{Name: "h01", IdlePower: 180}}},
+		},
+		rep: &Report{
+			Timeline: []MigrationRecord{
+				{VM: "va", Start: 0, End: 46 * time.Second, Energy: 45222},
+				{VM: "vb", Start: 10 * time.Second, End: 105 * time.Second, Energy: 159213},
+			},
+			Makespan: 105 * time.Second,
+		},
+		cfg: Config{Horizon: 200 * time.Second},
+	}
+	e.buildPowerTrace()
+	tr := e.rep.PowerTrace
+	if len(tr) != 4 {
+		t.Fatalf("trace has %d breakpoints, want 4: %+v", len(tr), tr)
+	}
+	if last := tr[len(tr)-1]; last.At != 105*time.Second || float64(last.Watts) != 430 {
+		t.Errorf("trace ends at %v at %v, want exactly 430 W at 105s", last.Watts, last.At)
+	}
+	want := 430*200.0 + 45222 + 159213
+	if got := float64(e.rep.FleetEnergy); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("FleetEnergy = %v, want idle·horizon + migrations = %v", got, want)
 	}
 }
 
