@@ -38,9 +38,15 @@ import (
 // content, not trusted by name.
 
 // artefactVersion is the on-disk encoding version. Bump it whenever the
-// payload layout or the canonical key encoding changes; old artefacts
-// then read as version mismatches (a miss), never as wrong results.
-const artefactVersion = 1
+// payload layout or the canonical key encoding changes, and whenever the
+// kernel's physics changes what a key's run produces: the key names the
+// scenario, not the code that ran it. Old artefacts then carry an old
+// name and version, so they are misses, never wrong results.
+//
+// Version 2: the page dirtiers sample dirty-page counts instead of a
+// bitmap (internal/mem), a new realisation for every run that dirties
+// memory; version 1 artefacts hold bitmap-dirtier runs.
+const artefactVersion = 2
 
 // artefactMagic opens every artefact file.
 const artefactMagic = "wavm3run"

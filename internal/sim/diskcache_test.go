@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,6 +96,63 @@ func TestDiskCacheColdWarmBitIdentical(t *testing.T) {
 	}
 	if st := warm.Snapshot(); st.KernelRuns != 0 || st.DiskHits != 2 {
 		t.Errorf("post-Clear stats = %+v, want 2 disk hits, 0 kernel runs", st)
+	}
+}
+
+// TestVersion1ArtefactIsMiss: a cache dir filled before the count-only
+// dirtiers holds version-1 artefacts of bitmap-dirtier runs, under keys
+// that have not changed. Such a file, well formed but for its version,
+// must not answer: the lookup is a disk miss, the kernel recomputes the
+// run, and a current-version artefact is published beside the old one.
+func TestVersion1ArtefactIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	sc := diskScenario(43)
+	if _, err := newDiskCache(t, dir).Run(sc); err != nil {
+		t.Fatal(err)
+	}
+	files := artefactFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("cold run left %d artefacts, want 1", len(files))
+	}
+	cur := files[0]
+	data, err := os.ReadFile(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-stamp the artefact as version 1, checksum included, and file it
+	// under its version-1 name in place of the current one.
+	old := bytes.Clone(data[:len(data)-sha256.Size])
+	binary.LittleEndian.PutUint32(old[8:12], 1)
+	sum := sha256.Sum256(old)
+	old = append(old, sum[:]...)
+	v1 := strings.TrimSuffix(cur, fmt.Sprintf(".v%d.run", artefactVersion)) + ".v1.run"
+	if v1 == cur || !strings.HasSuffix(cur, ".v2.run") {
+		t.Fatalf("artefact %s is not a version-2 name", filepath.Base(cur))
+	}
+	if err := os.WriteFile(v1, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(cur); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newDiskCache(t, dir)
+	got, err := c.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("run over a version-1 cache dir differs from the uncached reference")
+	}
+	if st := c.Snapshot(); st.DiskHits != 0 || st.DiskMisses != 1 || st.KernelRuns != 1 {
+		t.Errorf("stats = %+v, want 1 disk miss, 1 kernel run", st)
+	}
+	if files := artefactFiles(t, dir); len(files) != 2 {
+		t.Errorf("cache dir holds %v, want the version-1 file and a recomputed current one", files)
 	}
 }
 
