@@ -2,26 +2,43 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/units"
 )
 
-// Image is the page-granular memory image of one VM.
+// Image is the memory image of one VM, held as the dirty-page counts
+// WAVM3 observes (DIRTYPAGES for Eq. 1, and the pages a pre-copy round
+// sends) rather than as a per-page bitmap. Pages within one dirtier class
+// are exchangeable, so a count is a sufficient state: a dirtier treats
+// the dirty pages of a class as occupying the class's first D pages, and
+// a write to a uniformly drawn page of the class is new iff the draw
+// falls at or past D. That is the bitmap's Markov chain on counts,
+// exact in distribution (see Dirtier).
+//
+// The per-class counts are meaningful only under one dirtier's class
+// layout, so an Image must be driven by a single Dirtier for its life. A
+// VM keeps the dirtier the toolstack installs at creation (vm.SetDirtier
+// is called once, in xen.Toolstack.Create), and a scenario's phases
+// compile to separate kernel runs, each of which creates its guests
+// afresh (sim.Run).
 type Image struct {
 	total units.Pages
-	dirty []uint64 // bitmap, one bit per page
 	ndirt units.Pages
+	// hotDirty is the dirty count inside a HotColdDirtier's hot set; the
+	// cold set holds ndirt − hotDirty. Uniform dirtiers leave it zero.
+	hotDirty units.Pages
 }
 
-// NewImage allocates a clean memory image of the given size. It errors on
+// NewImage builds a clean memory image of the given size. It errors on
 // non-positive sizes.
 func NewImage(size units.Bytes) (*Image, error) {
 	p := units.PagesOf(size)
 	if p <= 0 {
 		return nil, fmt.Errorf("mem: image size %v yields no pages", size)
 	}
-	return &Image{total: p, dirty: make([]uint64, (p+63)/64)}, nil
+	return &Image{total: p}, nil
 }
 
 // TotalPages returns MEM(v), the VM memory size in pages.
@@ -35,76 +52,18 @@ func (im *Image) DirtyRatio() units.Fraction {
 	return units.Fraction(float64(im.ndirt) / float64(im.total))
 }
 
-// Dirty marks page i dirty; re-dirtying an already dirty page is a no-op
-// (the bitmap is idempotent, exactly like Xen's log-dirty mode).
-func (im *Image) Dirty(i units.Pages) error {
-	if i < 0 || i >= im.total {
-		return fmt.Errorf("mem: page %d out of range [0, %d)", i, im.total)
-	}
-	im.dirtyFast(i)
-	return nil
-}
-
-// dirtyFast is Dirty without the range check: the inlinable twin the
-// dirtier hot loops use for indices they guarantee in range.
-func (im *Image) dirtyFast(i units.Pages) {
-	w, m := i>>6, uint64(1)<<uint(i&63)
-	if im.dirty[w]&m == 0 {
-		im.dirty[w] |= m
-		im.ndirt++
-	}
-}
-
-// IsDirty reports whether page i is dirty.
-func (im *Image) IsDirty(i units.Pages) bool {
-	if i < 0 || i >= im.total {
-		return false
-	}
-	return im.dirty[i/64]&(1<<uint(i%64)) != 0
-}
-
-// Clean clears page i's dirty bit (it has been copied to the target).
-func (im *Image) Clean(i units.Pages) {
-	if i < 0 || i >= im.total {
-		return
-	}
-	w, b := i/64, uint(i%64)
-	if im.dirty[w]&(1<<b) != 0 {
-		im.dirty[w] &^= 1 << b
-		im.ndirt--
-	}
-}
-
-// CleanAll clears the whole bitmap, as Xen does at the start of each
+// CleanAll clears every dirty page, as Xen does at the start of each
 // pre-copy round after snapshotting the set to send.
 func (im *Image) CleanAll() {
-	for i := range im.dirty {
-		im.dirty[i] = 0
-	}
-	im.ndirt = 0
+	im.ndirt, im.hotDirty = 0, 0
 }
 
-// Snapshot returns the indices of all dirty pages in ascending order.
-func (im *Image) Snapshot() []units.Pages {
-	out := make([]units.Pages, 0, im.ndirt)
-	for w, word := range im.dirty {
-		if word == 0 {
-			continue
-		}
-		for b := 0; b < 64; b++ {
-			if word&(1<<uint(b)) != 0 {
-				p := units.Pages(w*64 + b)
-				if p < im.total {
-					out = append(out, p)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Dirtier is a workload's page-dirtying behaviour: given elapsed wall time
-// dt (seconds) it returns how many page-write events to issue and where.
+// Dirtier is a workload's page-dirtying behaviour: given elapsed wall
+// time dt (seconds) it issues the interval's page-write events against
+// the image's counts. Each write draws its page exactly as a bitmap
+// dirtier would; only the test for "was this page clean" reads the class
+// count instead of a bit, which leaves the distribution of every count
+// the same as the bitmap process's.
 type Dirtier interface {
 	// Step issues page writes for a dt-second interval against the image.
 	// It returns the number of page-write events issued (counting repeats
@@ -169,11 +128,6 @@ func (r *prng) uint64n(n uint64) uint64 {
 	return hi
 }
 
-// float64v returns a uniform value in [0, 1) with 53 random bits.
-func (r *prng) float64v() float64 {
-	return float64(r.next()>>11) * 0x1.0p-53
-}
-
 // Step implements Dirtier.
 func (u *UniformDirtier) Step(im *Image, dtSeconds float64) int64 {
 	if dtSeconds <= 0 || u.PagesPerSecond <= 0 {
@@ -186,13 +140,19 @@ func (u *UniformDirtier) Step(im *Image, dtSeconds float64) int64 {
 	u.carry += u.PagesPerSecond * dtSeconds
 	n := int64(u.carry)
 	u.carry -= float64(n)
-	span64 := uint64(span)
+	span64, d := uint64(span), uint64(im.ndirt)
 	for i := int64(0); i < n; i++ {
-		// The index is bounded by span ≤ total.
-		im.dirtyFast(units.Pages(u.rng.uint64n(span64)))
+		d += isNew(u.rng.uint64n(span64), d)
 	}
+	im.ndirt = units.Pages(d)
 	return n
 }
+
+// isNew returns 1 when a write to slot idx of a class whose dirty pages
+// occupy slots [0, d) dirties a clean page (idx >= d), else 0. Both are
+// page counts far below 2^63, so d−idx−1 wraps to a set top bit exactly
+// when idx >= d: no branch for the predictor to miss.
+func isNew(idx, d uint64) uint64 { return (d - idx - 1) >> 63 }
 
 // Rate implements Dirtier.
 func (u *UniformDirtier) Rate() float64 { return u.PagesPerSecond }
@@ -240,17 +200,30 @@ func (h *HotColdDirtier) Step(im *Image, dtSeconds float64) int64 {
 	n := int64(h.carry)
 	h.carry -= float64(n)
 	hot64, total64 := uint64(hot), uint64(total)
+	dh, dc := uint64(im.hotDirty), uint64(im.ndirt-im.hotDirty)
+	// Each write makes two draws: the first picks the hot set with
+	// probability HotProb, the second the page, within the hot set or
+	// over the whole image. Page p < hot is slot p of the hot class, any
+	// other page slot p−hot of the cold class. The loop has no branch:
+	// the hot/cold split is taken with masks, so a 90/10 split costs no
+	// mispredictions.
+	below := hotBelow(h.HotProb)
 	for i := int64(0); i < n; i++ {
-		var p units.Pages
-		if h.rng.float64v() < h.HotProb {
-			p = units.Pages(h.rng.uint64n(hot64))
-		} else {
-			p = units.Pages(h.rng.uint64n(total64))
-		}
-		im.dirtyFast(p)
+		toHot := (h.rng.next()>>11 - below) >> 63
+		p := h.rng.uint64n(total64 ^ (total64^hot64)&-toHot)
+		inHot := (p - hot64) >> 63
+		dh += isNew(p, dh) & inHot
+		dc += isNew(p-hot64, dc) &^ inHot
 	}
+	im.hotDirty, im.ndirt = units.Pages(dh), units.Pages(dh+dc)
 	return n
 }
+
+// hotBelow turns a probability into a threshold on a draw's top 53 bits:
+// x>>11 < hotBelow(p) exactly when the draw read as a 53-bit fraction
+// of 1, float64(x>>11)·2^-53, is below p. Scaling by 2^53 is exact, so
+// this is the float comparison without the conversion.
+func hotBelow(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
 
 // Rate implements Dirtier.
 func (h *HotColdDirtier) Rate() float64 { return h.PagesPerSecond }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,85 +34,261 @@ func TestNewImage(t *testing.T) {
 	}
 }
 
-func TestDirtyCleanCycle(t *testing.T) {
-	im := newImg(t, 64*units.KiB) // 16 pages
-	if err := im.Dirty(3); err != nil {
-		t.Fatal(err)
-	}
-	if !im.IsDirty(3) || im.DirtyPages() != 1 {
-		t.Error("page 3 should be dirty")
-	}
-	// Idempotent re-dirty.
-	if err := im.Dirty(3); err != nil {
-		t.Fatal(err)
-	}
-	if im.DirtyPages() != 1 {
-		t.Errorf("re-dirty changed count to %d", im.DirtyPages())
-	}
-	im.Clean(3)
-	if im.IsDirty(3) || im.DirtyPages() != 0 {
-		t.Error("page 3 should be clean again")
-	}
-	// Cleaning a clean page is a no-op.
-	im.Clean(3)
-	if im.DirtyPages() != 0 {
-		t.Error("double clean corrupted the count")
+// bitmap is the per-page dirty bitmap the counts replace, kept here as
+// the oracle: replaying a dirtier's page draws on it is the process the
+// counts must match in distribution.
+type bitmap struct {
+	words []uint64
+	ndirt int
+}
+
+func newBitmap(pages units.Pages) *bitmap {
+	return &bitmap{words: make([]uint64, (pages+63)/64)}
+}
+
+func (b *bitmap) dirty(p uint64) {
+	w, m := p>>6, uint64(1)<<(p&63)
+	if b.words[w]&m == 0 {
+		b.words[w] |= m
+		b.ndirt++
 	}
 }
 
-func TestDirtyBounds(t *testing.T) {
-	im := newImg(t, 64*units.KiB)
-	if err := im.Dirty(-1); err == nil {
-		t.Error("negative page must fail")
-	}
-	if err := im.Dirty(16); err == nil {
-		t.Error("out-of-range page must fail")
-	}
-	if im.IsDirty(-1) || im.IsDirty(99) {
-		t.Error("out-of-range IsDirty must be false")
-	}
-	im.Clean(-1) // must not panic
-	im.Clean(99)
+// float64v is the hot/cold draw as the oracle makes it: a
+// uniform value in [0, 1) with 53 random bits, compared to HotProb.
+func (r *prng) float64v() float64 {
+	return float64(r.next()>>11) * 0x1.0p-53
 }
 
-func TestSnapshotAndCleanAll(t *testing.T) {
-	im := newImg(t, 64*units.KiB)
-	for _, p := range []units.Pages{0, 5, 15} {
-		if err := im.Dirty(p); err != nil {
-			t.Fatal(err)
+// stepUniform issues n writes with UniformDirtier's draws.
+func (b *bitmap) stepUniform(rng *prng, span uint64, n int64) {
+	for i := int64(0); i < n; i++ {
+		b.dirty(rng.uint64n(span))
+	}
+}
+
+// stepHotCold issues n writes with HotColdDirtier's draws.
+func (b *bitmap) stepHotCold(rng *prng, hot, total uint64, hotProb float64, n int64) {
+	for i := int64(0); i < n; i++ {
+		if rng.float64v() < hotProb {
+			b.dirty(rng.uint64n(hot))
+		} else {
+			b.dirty(rng.uint64n(total))
 		}
 	}
-	snap := im.Snapshot()
-	if len(snap) != 3 || snap[0] != 0 || snap[1] != 5 || snap[2] != 15 {
-		t.Errorf("Snapshot = %v, want [0 5 15]", snap)
+}
+
+// TestDirtyCountMatchesBitmapOracle is the exactness claim of the
+// counts: over many seeds, the distribution of DirtyPages after k steps
+// matches the bitmap process's (two-sample Kolmogorov–Smirnov at
+// α = 0.001), and both sample means match the closed-form occupancy
+// mean Σ_class N(1 − (1 − q)^n), q being the per-write hit probability
+// of one page of the class.
+func TestDirtyCountMatchesBitmapOracle(t *testing.T) {
+	const (
+		seeds = 2000
+		size  = 4 * units.MiB // 1024 pages
+		steps = 10
+	)
+	total := units.PagesOf(size)
+	// Class sizes are powers of two, so the fractions the dirtiers take
+	// map back to exactly these page counts.
+	uniform := func(rate float64, span uint64) oracleCase {
+		return oracleCase{
+			newD: func(seed int64) Dirtier {
+				return NewUniformDirtier(rate, units.Fraction(span)/units.Fraction(total), seed)
+			},
+			cover: func(n int64) float64 { return occupancy(float64(span), 1/float64(span), n) },
+			orc:   func(b *bitmap, rng *prng, n int64) { b.stepUniform(rng, span, n) },
+		}
+	}
+	hotCold := func(rate float64, hot uint64, prob float64) oracleCase {
+		return oracleCase{
+			newD: func(seed int64) Dirtier {
+				return NewHotColdDirtier(rate, units.Fraction(hot)/units.Fraction(total), prob, seed)
+			},
+			cover: func(n int64) float64 {
+				qc := (1 - prob) / float64(total)
+				return occupancy(float64(hot), prob/float64(hot)+qc, n) +
+					occupancy(float64(uint64(total)-hot), qc, n)
+			},
+			orc: func(b *bitmap, rng *prng, n int64) { b.stepHotCold(rng, hot, uint64(total), prob, n) },
+		}
+	}
+	cases := []struct {
+		name string
+		oracleCase
+	}{
+		{"uniform", uniform(1000, 768)},
+		// A hot set filling up while the cold set stays sparse ...
+		{"hotcold", hotCold(300, 128, 0.9)},
+		// ... and a cold set holding more dirty pages than the hot set
+		// has pages, so a cold draw's offset past the hot set matters.
+		{"hotcold-cold-fill", hotCold(2000, 256, 0.5)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			counts := make([]float64, seeds)
+			oracle := make([]float64, seeds)
+			var writes int64
+			for s := int64(0); s < seeds; s++ {
+				im := newImg(t, size)
+				d := tc.newD(s + 1)
+				var n int64
+				for k := 0; k < steps; k++ {
+					n += d.Step(im, 0.1)
+				}
+				if s > 0 && n != writes {
+					t.Fatalf("seed %d issued %d writes, seed 1 issued %d", s+1, n, writes)
+				}
+				writes = n
+				counts[s] = float64(im.DirtyPages())
+
+				// Disjoint seeds: the two samples must be independent.
+				b, rng := newBitmap(total), newPRNG(seeds+s+1)
+				tc.orc(b, &rng, n)
+				oracle[s] = float64(b.ndirt)
+			}
+			if ks, crit := ksStatistic(counts, oracle), 1.95*math.Sqrt(2.0/seeds); ks > crit {
+				t.Errorf("KS distance to the bitmap oracle = %.4f, above the α=0.001 bound %.4f", ks, crit)
+			}
+			want := tc.cover(writes)
+			for _, sample := range []struct {
+				who string
+				xs  []float64
+			}{{"counts", counts}, {"bitmap oracle", oracle}} {
+				m, sd := meanSD(sample.xs)
+				if se := sd / math.Sqrt(seeds); math.Abs(m-want) > 5*se+1e-9 {
+					t.Errorf("%s mean DirtyPages = %.2f, closed form %.2f (±5·SE = %.2f)", sample.who, m, want, 5*se)
+				}
+			}
+		})
+	}
+}
+
+// oracleCase is one dirtier configuration of the oracle test: the
+// dirtier under test, its closed-form mean DirtyPages after n writes,
+// and the same writes replayed on the bitmap.
+type oracleCase struct {
+	newD  func(seed int64) Dirtier
+	cover func(n int64) float64
+	orc   func(b *bitmap, rng *prng, n int64)
+}
+
+// occupancy is the expected number of distinct pages hit among n pages
+// when n writes each hit a given page with probability q.
+func occupancy(pages, q float64, n int64) float64 {
+	return pages * (1 - math.Pow(1-q, float64(n)))
+}
+
+// ksStatistic returns the two-sample Kolmogorov–Smirnov distance: the
+// largest gap between the samples' empirical CDFs, evaluated after each
+// run of tied values.
+func ksStatistic(a, b []float64) float64 {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	var i, j int
+	var d float64
+	for i < len(a) && j < len(b) {
+		x := math.Min(a[i], b[j])
+		for i < len(a) && a[i] == x {
+			i++
+		}
+		for j < len(b) && b[j] == x {
+			j++
+		}
+		d = math.Max(d, math.Abs(float64(i)/float64(len(a))-float64(j)/float64(len(b))))
+	}
+	return d
+}
+
+func meanSD(xs []float64) (mean, sd float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		sd += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(sd / float64(len(xs)-1))
+}
+
+// TestHotBelowMatchesFloatCompare pins the integer hot/cold test to the
+// float comparison the oracle makes, draw for draw.
+func TestHotBelowMatchesFloatCompare(t *testing.T) {
+	rng := newPRNG(9)
+	for _, p := range []float64{0, 1e-9, 0.1, 0.5, 0.9, 1 - 0x1p-53, 1} {
+		below := hotBelow(p)
+		for i := 0; i < 100_000; i++ {
+			x := rng.next()
+			if got, want := x>>11 < below, float64(x>>11)*0x1.0p-53 < p; got != want {
+				t.Fatalf("p=%v x=%#x: integer test %v, float test %v", p, x, got, want)
+			}
+		}
+		// The edges of the 53-bit range.
+		for _, top := range []uint64{0, below - 1, below, 1<<53 - 1} {
+			if top >= 1<<53 {
+				continue
+			}
+			if got, want := top < below, float64(top)*0x1.0p-53 < p; got != want {
+				t.Fatalf("p=%v top=%d: integer test %v, float test %v", p, top, got, want)
+			}
+		}
+	}
+}
+
+func TestCleanAll(t *testing.T) {
+	im := newImg(t, 16*units.MiB)
+	d := NewHotColdDirtier(50_000, 0.1, 0.9, 5)
+	d.Step(im, 0.1)
+	if im.DirtyPages() == 0 || im.hotDirty == 0 {
+		t.Fatal("no pages dirtied")
 	}
 	im.CleanAll()
-	if im.DirtyPages() != 0 || len(im.Snapshot()) != 0 {
-		t.Error("CleanAll left dirty pages")
+	if im.DirtyPages() != 0 || im.hotDirty != 0 || im.DirtyRatio() != 0 {
+		t.Errorf("CleanAll left %d dirty pages (%d hot)", im.DirtyPages(), im.hotDirty)
+	}
+	// The next window starts from a clean image: it cannot dirty more
+	// pages than it writes.
+	if n := d.Step(im, 0.001); int64(im.DirtyPages()) > n {
+		t.Errorf("after CleanAll, %d writes dirtied %d pages", n, im.DirtyPages())
 	}
 }
 
 func TestDirtyRatioInvariant(t *testing.T) {
-	// Property: after arbitrary dirty/clean operations, 0 ≤ DR ≤ 1 and
-	// DirtyPages matches the snapshot length.
+	// Property: under arbitrary step lengths and CleanAll calls, every
+	// class count stays within its class, so 0 ≤ DR ≤ 1.
 	f := func(ops []uint16) bool {
-		im, err := NewImage(256 * units.KiB) // 64 pages
-		if err != nil {
+		u, errU := NewImage(256 * units.KiB) // 64 pages
+		h, errH := NewImage(256 * units.KiB)
+		if errU != nil || errH != nil {
 			return false
 		}
+		ud := NewUniformDirtier(2000, 0.5, int64(len(ops)))
+		hd := NewHotColdDirtier(2000, 0.25, 0.8, int64(len(ops)))
 		for _, op := range ops {
-			page := units.Pages(op % 64)
 			if op&0x8000 != 0 {
-				im.Clean(page)
-			} else if err := im.Dirty(page); err != nil {
+				u.CleanAll()
+				h.CleanAll()
+				continue
+			}
+			dt := float64(op%100) / 1000
+			ud.Step(u, dt)
+			hd.Step(h, dt)
+			if u.DirtyPages() > 32 || u.hotDirty != 0 {
 				return false
 			}
-			dr := im.DirtyRatio()
-			if dr < 0 || dr > 1 {
+			if h.hotDirty > 16 || h.DirtyPages()-h.hotDirty > 48 {
 				return false
+			}
+			for _, dr := range []units.Fraction{u.DirtyRatio(), h.DirtyRatio()} {
+				if dr < 0 || dr > 1 {
+					return false
+				}
 			}
 		}
-		return int(im.DirtyPages()) == len(im.Snapshot())
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -172,17 +349,27 @@ func TestUniformDirtierDeterminism(t *testing.T) {
 	run := func() []units.Pages {
 		im, _ := NewImage(1 * units.MiB)
 		d := NewUniformDirtier(500, 0.9, 42)
-		d.Step(im, 1)
-		return im.Snapshot()
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("non-deterministic dirty count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("non-deterministic dirty set at %d", i)
+		var trace []units.Pages
+		for i := 0; i < 5; i++ {
+			d.Step(im, 0.3)
+			trace = append(trace, im.DirtyPages())
 		}
+		return trace
+	}
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatalf("non-deterministic dirty counts: %v vs %v", a, b)
+	}
+}
+
+func TestHotColdDirtierDeterminism(t *testing.T) {
+	run := func() [2]units.Pages {
+		im, _ := NewImage(1 * units.MiB)
+		d := NewHotColdDirtier(500, 0.1, 0.9, 42)
+		d.Step(im, 1)
+		return [2]units.Pages{im.DirtyPages(), im.hotDirty}
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("non-deterministic dirty counts: %v vs %v", a, b)
 	}
 }
 
@@ -191,18 +378,12 @@ func TestHotColdDirtierConcentration(t *testing.T) {
 	d := NewHotColdDirtier(50_000, 0.1, 0.9, 7)
 	d.Step(im, 1)
 	hot := units.Pages(float64(im.TotalPages()) * 0.1)
-	hotDirty := 0
-	for _, p := range im.Snapshot() {
-		if p < hot {
-			hotDirty++
-		}
-	}
-	// With 90% of 50k writes in a 410-page hot set, the hot set saturates.
-	if units.Pages(hotDirty) < hot*95/100 {
-		t.Errorf("hot set only %d/%d dirty, want nearly full", hotDirty, hot)
+	// With 90% of 50k writes in a 409-page hot set, the hot set saturates.
+	if im.hotDirty < hot*95/100 || im.hotDirty > hot {
+		t.Errorf("hot set %d/%d dirty, want nearly full", im.hotDirty, hot)
 	}
 	// Cold pages must also see some writes.
-	if int64(im.DirtyPages())-int64(hotDirty) == 0 {
+	if im.DirtyPages()-im.hotDirty <= 0 {
 		t.Error("cold set received no writes")
 	}
 	if d.Rate() != 50_000 {
@@ -238,4 +419,35 @@ func TestTrafficGBs(t *testing.T) {
 	if math.Abs(got-1.0) > 1e-9 {
 		t.Errorf("TrafficGBs = %v, want 1", got)
 	}
+}
+
+// pagedirtier95 is the quick sweep's top pagedirtier rate on a 4 GiB
+// guest: a 95% working set re-dirtied every ~4 s.
+const pagedirtier95 = (1 << 20) * 0.95 / 4
+
+// benchmarkDirtier steps d over a 4 GiB image in 100 ms kernel steps,
+// ending each 3 s log-dirty window with CleanAll as a pre-copy round
+// does, and reports the cost per page write.
+func benchmarkDirtier(b *testing.B, d Dirtier) {
+	im, err := NewImage(4 * units.GiB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var writes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		writes += d.Step(im, 0.1)
+		if i%30 == 29 {
+			im.CleanAll()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(writes), "ns/write")
+}
+
+func BenchmarkDirtierStepUniform(b *testing.B) {
+	benchmarkDirtier(b, NewUniformDirtier(pagedirtier95, 0.95, 1))
+}
+
+func BenchmarkDirtierStepHotCold(b *testing.B) {
+	benchmarkDirtier(b, NewHotColdDirtier(pagedirtier95, 0.1, 0.9, 1))
 }

@@ -317,7 +317,7 @@ func (e *Engine) beginTransfer(now time.Duration) error {
 	e.stream = s
 	e.st = stateTransfer
 	if e.cfg.Kind == Live {
-		// Round 0 copies every page; the log-dirty bitmap starts clean and
+		// Round 0 copies every page; the log-dirty count starts clean and
 		// records writes that happen during the copy.
 		e.guest.Memory.CleanAll()
 		e.roundStartDirt = e.guest.Memory.TotalPages()
