@@ -5,16 +5,16 @@
 // diurnal, ramp). The engine advances a continuous timeline through
 // three event kinds:
 //
-//   - policy ticks: a consolidation.Policy re-plans against the current
-//     state, with in-flight migrations pinned and their destination
-//     capacity reserved;
+//   - policy ticks: a consolidation.ViewPolicy re-plans against the
+//     engine's incrementally maintained view of the current state, with
+//     in-flight migrations pinned and their destination capacity
+//     reserved;
 //   - migration start/finish: every started migration is lowered to a
 //     full two-host simulation on the sim kernel (answered through the
 //     run cache), which supplies its measured energy, byte volume and
 //     phase spans;
 //   - workload phase transitions: VM intensity changes that the next
-//     snapshot — and therefore the next planning round and the next
-//     lowered scenario — observe.
+//     planning round and the next lowered scenario observe.
 //
 // Concurrent migrations whose endpoints hang off the same switch share
 // the migration path: the transfer phase of each flight progresses at
@@ -86,34 +86,6 @@ func (v VM) Validate() error {
 		}
 	}
 	return nil
-}
-
-// factor evaluates the VM's intensity at cluster time t: the phase
-// timeline is walked front to back, and the final factor holds once the
-// timeline is exhausted. VMs without phases run at factor 1.
-func (v VM) factor(t time.Duration) float64 {
-	if len(v.Phases) == 0 {
-		return 1
-	}
-	off := t
-	for _, p := range v.Phases {
-		if off < p.Duration {
-			return p.Factor(float64(off) / float64(p.Duration))
-		}
-		off -= p.Duration
-	}
-	return v.Phases[len(v.Phases)-1].Factor(1)
-}
-
-// busyAt returns the VM's CPU demand at cluster time t.
-func (v VM) busyAt(t time.Duration) float64 {
-	return v.BusyVCPUs * v.factor(t)
-}
-
-// dirtyAt returns the VM's dirty ratio at cluster time t, clamped to a
-// physical fraction.
-func (v VM) dirtyAt(t time.Duration) units.Fraction {
-	return units.Fraction(float64(v.DirtyRatio) * v.factor(t)).Clamp()
 }
 
 // Host is one physical machine of the cluster.
@@ -236,9 +208,10 @@ type Config struct {
 	// approximation data-centre scenarios compile to. When empty, each
 	// move's pair is "srcMachine/dstMachine".
 	Pair string
-	// Policy re-plans the cluster at every tick; nil disables planning
-	// (the timeline then runs the explicit Moves).
-	Policy consolidation.Policy
+	// Policy re-plans the cluster at every tick, through PlanView on the
+	// engine's view; nil disables planning (the timeline then runs the
+	// explicit Moves).
+	Policy consolidation.ViewPolicy
 	// PolicyConfig bounds each planning round. The engine adds the
 	// in-flight pins itself.
 	PolicyConfig consolidation.Config
@@ -283,19 +256,6 @@ type Config struct {
 	// context.Background(). Cancellation never changes results — a
 	// timeline that completes under any context is bit-identical.
 	Ctx context.Context
-
-	// referenceScan selects the retained linear-scan scheduler (O(F²)
-	// per event) instead of the heap scheduler. Test-only: the
-	// equivalence property test runs every fleet through both and
-	// demands bit-identical reports.
-	referenceScan bool
-
-	// fullRebuild disables the incremental dirty-set maintenance of the
-	// policy view: every planning round rebuilds the whole view from
-	// the runtime state. Test-only: the equivalence property test runs
-	// fleets through the dirty-set path, this fallback and the linear
-	// reference, and demands bit-identical reports.
-	fullRebuild bool
 
 	// simOverride replaces the cache/kernel execution of lowered
 	// migration scenarios. Test-only: the dispatch-transaction tests
@@ -407,7 +367,7 @@ func (c Config) check(keepHosts bool) (*checked, error) {
 			if c.Serial && len(v.Phases) > 0 {
 				return nil, fmt.Errorf("cluster: VM %q has phases; serial timelines are time-invariant", v.Name)
 			}
-			// Policy snapshots name in-flight destination reservations
+			// The policy view names in-flight destination reservations
 			// "<vm>+incoming" in the same namespace as real VMs; a real VM
 			// wearing that suffix would silently alias a reservation (and
 			// its pin).

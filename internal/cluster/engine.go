@@ -35,12 +35,9 @@ type hostRT struct {
 	// candidates.
 	down bool
 	// incoming lists the flights bound for this host, in dispatch order
-	// (append at dispatch, remove at land), so snapshots place their
+	// (append at dispatch, remove at land), so the view places their
 	// destination reservations without rebuilding a map per tick.
 	incoming []*flight
-	// snap is the host's persistent snapshot scratch: the VMState slice
-	// handed to the policy every tick, reused across rounds.
-	snap []consolidation.VMState
 
 	// Incremental-view bookkeeping (see view.go): the host's index in
 	// the engine's SoA policy view (and in engine.hosts), its varying
@@ -131,7 +128,7 @@ type flight struct {
 	from, to *hostRT
 	sw       string
 	pair     string
-	resName  string // vm.Name + "+incoming", precomputed for snapshots
+	resName  string // vm.Name + "+incoming", the reservation's slot name
 	run      *sim.RunResult
 
 	state            int
@@ -174,34 +171,25 @@ type engine struct {
 	recs    []indexedRec
 	rep     *Report
 
-	// Scheduling state (see schedule.go): fixed-instant events in one
-	// indexed min-heap, transfers per switch in virtual time.
-	timed    flightHeap
+	// Scheduling state (see schedule.go): the scheduler finds and fires
+	// flight events; switches holds each link domain's transfers and
+	// outage flag.
+	sched    scheduler
 	switches map[string]*swState
-	active   []*swState
-	due      []*flight // per-fire scratch, reused
 	inFlight int
 	peak     int
-
-	// flights is the linear reference scheduler's state, maintained only
-	// when cfg.referenceScan asks for the retained O(F²) loop.
-	flights []*flight
 
 	// fail is the failure-injection state (see failure.go). The airborne
 	// list inside is maintained unconditionally; the event schedule and
 	// orphan maps exist only when Config.Failures is non-empty.
 	fail failState
 
-	// Snapshot scratch, reused every policy round.
-	snapHosts  []consolidation.HostState
-	snapPinned []string
-	snapEvac   []string
-
-	// Incremental policy-view state (see view.go), active when the
-	// policy implements consolidation.ViewPolicy on the heap scheduler.
-	viewOn    bool
-	vp        consolidation.ViewPolicy
+	// Policy-view state (see view.go), built when a Policy is set: the
+	// view the policy plans against, maintained incrementally, and the
+	// pinned/evacuate lists' scratch, reused every round.
 	pview     consolidation.View
+	pinned    []string
+	evac      []string
 	viewLive  int     // live slot count in the view arena
 	dirty     []int32 // hosts touched by events since the last refresh
 	dirtyMark []bool  // per view index: queued in dirty
@@ -223,12 +211,13 @@ type engine struct {
 }
 
 // pendingDispatch carries a staged dispatch batch from the event that
-// admitted it to the join point: the flights (not yet engine state),
-// the dispatch instant, and the channel its kernel results arrive on.
+// admitted it to the join point: the staged flights (not yet engine
+// state), the dispatch instant, and the channel its kernel results
+// arrive on.
 type pendingDispatch struct {
-	t       time.Duration
-	flights []*flight
-	ch      chan dispatchResult
+	t     time.Duration
+	batch []*flight
+	ch    chan dispatchResult
 }
 
 type dispatchResult struct {
@@ -272,9 +261,9 @@ func newEngine(cfg Config) (*engine, error) {
 		hostAt:   k.hostAt,
 		vms:      make(map[string]*vmRT, len(k.vmAt)),
 		rep:      &Report{},
-		timed:    flightHeap{key: dueKey},
 		switches: make(map[string]*swState),
 	}
+	e.sched = newHeapSched(e)
 	for i := range k.hosts {
 		e.hosts[i] = &k.hosts[i]
 	}
@@ -302,10 +291,8 @@ func newEngine(cfg Config) (*engine, error) {
 			e.vms[vr.Name] = vr
 		}
 	}
-	e.snapHosts = make([]consolidation.HostState, 0, len(e.hosts))
 	e.initFailures(cfg.Failures)
-	if vp, ok := e.viewEnabled(); ok && !cfg.Serial {
-		e.viewOn, e.vp = true, vp
+	if cfg.Policy != nil {
 		e.dirtyMark = make([]bool, len(e.hosts))
 		e.rebuildView(0)
 		for _, h := range e.hosts {
@@ -358,14 +345,6 @@ func phaseLabel(p workload.Phase, i int) string {
 // happens, advance the shared-link transfers to it, then fire what is
 // due — completions first, then phase shifts, then new dispatches.
 func (e *engine) run() (*Report, error) {
-	next := e.nextEventTime
-	advance := e.advance
-	fire := e.fire
-	if e.cfg.referenceScan {
-		next = e.nextEventTimeScan
-		advance = e.advanceScan
-		fire = e.fireScan
-	}
 	for {
 		// Cancellation boundary: one non-blocking poll per event (the
 		// checks vanish for background contexts, whose Done is nil).
@@ -385,12 +364,13 @@ func (e *engine) run() (*Report, error) {
 		if err := e.joinPending(); err != nil {
 			return nil, err
 		}
-		t, ok := next()
+		t, ok := e.nextEventTime()
 		if !ok {
 			break
 		}
-		advance(t)
-		if err := fire(t); err != nil {
+		e.sched.advance(t)
+		e.now = t
+		if err := e.fire(t); err != nil {
 			return nil, err
 		}
 	}
@@ -399,11 +379,10 @@ func (e *engine) run() (*Report, error) {
 }
 
 // nextEventTime returns the earliest instant with something due: the
-// next policy tick, explicit dispatch or phase shift (each O(1)), the
-// top of the fixed-instant event heap, and each traffic-carrying
-// switch's projected next transfer completion (O(1) per switch).
+// next policy tick, explicit dispatch, phase shift or failure (each
+// O(1)), and the scheduler's next flight event.
 func (e *engine) nextEventTime() (time.Duration, bool) {
-	t, ok := time.Duration(math.MaxInt64), false
+	t, ok := e.sched.next()
 	consider := func(c time.Duration) {
 		if c < t {
 			t = c
@@ -422,103 +401,18 @@ func (e *engine) nextEventTime() (time.Duration, bool) {
 	if e.fail.fi < len(e.fail.events) {
 		consider(e.fail.events[e.fail.fi].At)
 	}
-	if len(e.timed.fs) > 0 {
-		consider(e.timed.fs[0].due)
-	}
-	for _, s := range e.active {
-		if s.down {
-			continue // stalled: the outage froze this link's clock
-		}
-		consider(s.nextAt(e.now))
-	}
 	return t, ok
-}
-
-// advance moves the clock to t, draining every traffic-carrying switch
-// by its equal share of the elapsed span: virt += dt/occ, one integer
-// division per switch instead of one per flight. Occupancy is constant
-// between events, so the division is the exact floor the linear
-// reference applies to each flight's remaining work; a due flight's
-// remaining work (virtDone − virt) reaches exactly zero.
-func (e *engine) advance(t time.Duration) {
-	dt := t - e.now
-	if dt > 0 {
-		for _, s := range e.active {
-			if s.down {
-				continue // outage: virtual time freezes, work is preserved
-			}
-			s.virt += dt / s.occ()
-		}
-	}
-	e.now = t
-}
-
-// transition advances one flight through every lifecycle phase due at
-// instant t (a flight may cascade through zero-span phases within one
-// instant), re-registering it with the scheduler wherever it comes to
-// rest. Callers hand in flights already removed from their heap.
-func (e *engine) transition(f *flight, t time.Duration) {
-	for {
-		switch f.state {
-		case fHead:
-			if f.headEnd > t {
-				e.timedPush(f, f.headEnd)
-				return
-			}
-			f.state = fTransfer
-			if f.work > 0 {
-				s := e.switchState(f.sw)
-				f.virtDone = s.virt + f.work
-				s.heap.push(f)
-				e.activate(s)
-				return
-			}
-			// Zero-length transfer: complete in the same instant, exactly
-			// like the linear loop's cascade.
-		case fTransfer:
-			// Only reached when the transfer is complete at t: popped from
-			// its switch heap by fire, or cascading with zero work.
-			f.transferEnd = t
-			f.state = fTail
-			f.end = t + f.tailSpan
-		default:
-			if f.end > t {
-				e.timedPush(f, f.end)
-				return
-			}
-			e.land(f, t)
-			return
-		}
-	}
 }
 
 // fire processes everything due at instant t.
 func (e *engine) fire(t time.Duration) error {
-	// 1. Flight transitions. Collect every due flight — fixed-instant
-	// head/tail events from the timed heap, transfer completions from
-	// each active switch's virtual-time heap — then process them in
-	// dispatch order, matching the linear reference.
-	e.due = e.due[:0]
-	for len(e.timed.fs) > 0 && e.timed.fs[0].due <= t {
-		e.due = append(e.due, e.timed.pop())
-	}
-	for _, s := range e.active {
-		for len(s.heap.fs) > 0 && s.heap.fs[0].virtDone <= s.virt {
-			e.due = append(e.due, s.heap.pop())
-		}
-	}
-	if len(e.due) > 1 {
-		sort.Slice(e.due, func(i, j int) bool { return e.due[i].idx < e.due[j].idx })
-	}
-	for _, f := range e.due {
-		e.transition(f, t)
-	}
+	// 1. Flight transitions, in dispatch order.
+	e.sched.fire(t)
 
 	// 2. Failure events: same-instant completions above beat the
 	// failure; shifts and dispatches below observe the post-failure
-	// state. Aborts may empty switch heaps, so compaction follows.
+	// state.
 	e.applyFailures(t)
-	e.compactActive()
 
 	// 3. Workload phase transitions.
 	for e.si < len(e.shifts) && e.shifts[e.si].At <= t {
@@ -531,7 +425,7 @@ func (e *engine) fire(t time.Duration) error {
 }
 
 // dispatchDue runs the policy round and explicit moves due at instant t
-// and dispatches the resulting batch. Shared by both schedulers.
+// and dispatches the resulting batch.
 func (e *engine) dispatchDue(t time.Duration) error {
 	var batch []TimedMove
 	if e.cfg.Policy != nil && e.tick <= t && e.tick < e.cfg.Horizon {
@@ -565,29 +459,15 @@ func (e *engine) dispatchDue(t time.Duration) error {
 	return nil
 }
 
-// planRound runs one policy round at instant t and returns its moves
-// plus the pinned-list length for the tick record. The fast path plans
-// against the incrementally maintained view; the linear-scan reference
-// and non-view policies build the classic AoS snapshot. On a clean tick
-// — no host refreshed, no pinned/evacuate input changed, and the
-// previous round planned zero moves — the plan is a pure function of
-// unchanged inputs, so the round reuses the previous (empty) result
-// without calling the policy.
+// planRound runs one policy round at instant t against the
+// incrementally maintained view and returns its moves plus the
+// pinned-list length for the tick record. On a clean tick — no host
+// refreshed, no pinned/evacuate input changed, and the previous round
+// planned zero moves — the plan is a pure function of unchanged inputs,
+// so the round reuses the previous (empty) result without calling the
+// policy.
 func (e *engine) planRound(t time.Duration) ([]consolidation.Move, int, error) {
-	if !e.viewOn {
-		snap, pinned, evac := e.snapshot(t)
-		pc := e.cfg.PolicyConfig
-		pc.Pinned = pinned
-		pc.Evacuate = evac
-		plan, err := e.cfg.Policy.Plan(snap, pc)
-		if err != nil {
-			return nil, 0, fmt.Errorf("cluster: policy %s at t=%v: %w", e.cfg.Policy.Name(), t, err)
-		}
-		return plan.Moves, len(pinned), nil
-	}
-	if e.cfg.fullRebuild {
-		e.rebuildView(t)
-	} else if !e.viewTick(t) && !e.viewEvents && e.havePlan && e.lastPlanMoves == 0 {
+	if !e.viewTick(t) && !e.viewEvents && e.havePlan && e.lastPlanMoves == 0 {
 		return nil, e.lastPinned, nil
 	}
 	e.viewEvents = false
@@ -595,7 +475,7 @@ func (e *engine) planRound(t time.Duration) ([]consolidation.Move, int, error) {
 	pc := e.cfg.PolicyConfig
 	pc.Pinned = pinned
 	pc.Evacuate = evac
-	plan, err := e.vp.PlanView(&e.pview, pc)
+	plan, err := e.cfg.Policy.PlanView(&e.pview, pc)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: policy %s at t=%v: %w", e.cfg.Policy.Name(), t, err)
 	}
@@ -603,20 +483,17 @@ func (e *engine) planRound(t time.Duration) ([]consolidation.Move, int, error) {
 	return plan.Moves, len(pinned), nil
 }
 
-// snapshot renders the cluster as the consolidation layer sees it at
-// time t: every resident guest with its phase-evaluated demand, with
-// in-flight guests pinned on their source and their destination
-// capacity held by a pinned reservation entry. Crashed hosts are
-// marked Down and their non-migrating residents listed as evacuees; a
-// VM in its post-abort cool-down is pinned like a mover. The returned
-// slices are the engine's persistent scratch buffers, valid until the
-// next snapshot; policies deep-copy before planning.
-func (e *engine) snapshot(t time.Duration) (hosts []consolidation.HostState, pinned, evacuate []string) {
-	e.snapPinned = e.snapPinned[:0]
-	e.snapEvac = e.snapEvac[:0]
-	out := e.snapHosts[:0]
-	for _, h := range e.hosts {
-		vms := h.snap[:0]
+// snapshot renders the cluster as the consolidation layer's AoS form at
+// time t, in fresh memory: every host in name order with its residents
+// (phase-evaluated demand) and then a "<vm>+incoming" reservation per
+// inbound flight, crashed hosts marked Down. It builds Report.Final.
+func (e *engine) snapshot(t time.Duration) []consolidation.HostState {
+	out := make([]consolidation.HostState, len(e.hosts))
+	for i, h := range e.hosts {
+		var vms []consolidation.VMState
+		if n := len(h.vms) + len(h.incoming); n > 0 {
+			vms = make([]consolidation.VMState, 0, n)
+		}
 		for _, v := range h.vms {
 			vms = append(vms, consolidation.VMState{
 				Name:       v.Name,
@@ -624,14 +501,6 @@ func (e *engine) snapshot(t time.Duration) (hosts []consolidation.HostState, pin
 				BusyVCPUs:  v.busyAt(t),
 				DirtyRatio: v.dirtyAt(t),
 			})
-			switch {
-			case v.migrating:
-				e.snapPinned = append(e.snapPinned, v.Name)
-			case h.down:
-				e.snapEvac = append(e.snapEvac, v.Name)
-			case e.fail.repin[v.Name]:
-				e.snapPinned = append(e.snapPinned, v.Name)
-			}
 		}
 		for _, f := range h.incoming {
 			vms = append(vms, consolidation.VMState{
@@ -640,22 +509,17 @@ func (e *engine) snapshot(t time.Duration) (hosts []consolidation.HostState, pin
 				BusyVCPUs:  f.vm.busyAt(t),
 				DirtyRatio: f.vm.dirtyAt(t),
 			})
-			e.snapPinned = append(e.snapPinned, f.resName)
 		}
-		h.snap = vms
-		out = append(out, consolidation.HostState{
+		out[i] = consolidation.HostState{
 			Name:      h.Name,
 			Threads:   h.Threads,
 			MemBytes:  h.MemBytes,
 			IdlePower: h.IdlePower,
 			Down:      h.down,
 			VMs:       vms,
-		})
+		}
 	}
-	e.snapHosts = out
-	sort.Strings(e.snapPinned)
-	sort.Strings(e.snapEvac)
-	return out, e.snapPinned, e.snapEvac
+	return out
 }
 
 // lower translates one move into a two-host testbed scenario, exactly
@@ -747,7 +611,7 @@ func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, error) {
 // leaves the engine exactly as it was, so abort/retry layers above
 // never observe a half-dispatched batch.
 func (e *engine) dispatch(t time.Duration, batch []TimedMove) error {
-	flights := make([]*flight, 0, len(batch))
+	fs := make([]*flight, 0, len(batch))
 	scs := make([]sim.Scenario, 0, len(batch))
 	staged := make(map[string]bool, len(batch))
 	for _, m := range batch {
@@ -763,19 +627,19 @@ func (e *engine) dispatch(t time.Duration, batch []TimedMove) error {
 			return fmt.Errorf("cluster: VM %q is already migrating", m.VM)
 		}
 		staged[m.VM] = true
-		idx := e.nextIdx + len(flights)
+		idx := e.nextIdx + len(fs)
 		sc := e.lower(v, v.host, dst, t, idx)
 		f := &flight{
 			idx: idx, vm: v, from: v.host, to: dst,
 			sw: dst.sw, pair: sc.Pair, start: t,
 			resName: v.Name + "+incoming", heapIdx: -1,
 		}
-		flights = append(flights, f)
+		fs = append(fs, f)
 		scs = append(scs, sc)
 	}
-	pd := &pendingDispatch{t: t, flights: flights, ch: make(chan dispatchResult, 1)}
+	pd := &pendingDispatch{t: t, batch: fs, ch: make(chan dispatchResult, 1)}
 	go func() {
-		runs, err := e.simulate(scs, func(i int) int { return flights[i].idx })
+		runs, err := e.simulate(scs, func(i int) int { return fs[i].idx })
 		pd.ch <- dispatchResult{runs: runs, err: err}
 	}()
 	e.pendJoin = pd
@@ -798,9 +662,9 @@ func (e *engine) joinPending() error {
 	if res.err != nil {
 		return res.err // nothing committed: the engine state is untouched
 	}
-	t, flights := pd.t, pd.flights
+	t, batch := pd.t, pd.batch
 	for i, run := range res.runs {
-		f := flights[i]
+		f := batch[i]
 		f.run = run
 		f.headEnd = t + (run.Bounds.TS - run.Bounds.MS)
 		f.work = run.Bounds.TE - run.Bounds.TS
@@ -808,27 +672,21 @@ func (e *engine) joinPending() error {
 		f.tailSpan = run.Bounds.ME - run.Bounds.TE
 	}
 	// Commit: the batch becomes engine state only from here on.
-	e.nextIdx += len(flights)
-	for _, f := range flights {
+	e.nextIdx += len(batch)
+	for _, f := range batch {
 		f.vm.migrating = true
 		f.to.incoming = append(f.to.incoming, f)
 		e.fail.airborne = append(e.fail.airborne, f)
-		if e.viewOn {
+		if e.cfg.Policy != nil {
 			e.markHostDirty(f.to)
 			if f.vm.phased {
 				f.to.phasedInc++
 				e.markHostVarying(f.to)
 			}
 		}
+		e.sched.enqueue(f)
 	}
-	if e.cfg.referenceScan {
-		e.flights = append(e.flights, flights...)
-	} else {
-		for _, f := range flights {
-			e.timedPush(f, f.headEnd)
-		}
-	}
-	e.inFlight += len(flights)
+	e.inFlight += len(batch)
 	if e.inFlight > e.peak {
 		e.peak = e.inFlight
 	}
@@ -874,7 +732,7 @@ func (e *engine) apply(v *vmRT, dst *hostRT) {
 
 // land completes a flight at instant t and records its outcome.
 func (e *engine) land(f *flight, t time.Duration) {
-	if e.viewOn {
+	if e.cfg.Policy != nil {
 		// The source loses the guest, the destination converts its
 		// reservation into a resident.
 		e.markHostDirty(f.vm.host)
@@ -957,20 +815,14 @@ func (e *engine) finish() {
 	}
 	e.scoreSLO()
 	e.buildPowerTrace()
-	// The report escapes the engine; deep-copy the final placement out of
-	// the reusable snapshot scratch. Ticked timelines run to the horizon
-	// even when the last migration lands earlier, so the final demand is
-	// evaluated at the instant the timeline actually ended.
+	// Ticked timelines run to the horizon even when the last migration
+	// lands earlier, so the final demand is evaluated at the instant the
+	// timeline actually ended.
 	at := e.rep.Makespan
 	if e.cfg.Policy != nil && e.cfg.Horizon > at {
 		at = e.cfg.Horizon
 	}
-	snap, _, _ := e.snapshot(at)
-	e.rep.Final = make([]consolidation.HostState, len(snap))
-	for i, h := range snap {
-		h.VMs = append([]consolidation.VMState(nil), h.VMs...)
-		e.rep.Final[i] = h
-	}
+	e.rep.Final = e.snapshot(at)
 }
 
 // runSerial executes the explicit moves one at a time in spec order —

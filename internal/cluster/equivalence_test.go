@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -152,23 +154,157 @@ func injectFailures(r *rand.Rand, cfg *Config) {
 	}
 }
 
-// TestSchedulerEquivalence is the tentpole's safety net: on randomized
-// fleets, the heap scheduler with its incrementally maintained dirty-set
-// policy view, the property-tested full-rebuild fallback (the same view
-// planner, reconstructed from scratch every round), and the retained
-// linear-scan reference (AoS snapshots through the classic Plan entry
-// point) must produce bit-identical reports — the same MigrationRecord
-// stream, tick records, shifts, stretches, energies, aborts and SLO
-// scores. The second half of the fleets inject random failure schedules
+// runWith runs cfg as Run runs an event-loop timeline, with two
+// test-side substitutions: linear installs the linear-scan reference
+// scheduler (reference_test.go) in place of the heap scheduler, and
+// oracle wraps the policy in planOracle.
+func runWith(cfg Config, linear, oracle bool) (*Report, error) {
+	var o *planOracle
+	if oracle && cfg.Policy != nil {
+		o = &planOracle{ViewPolicy: cfg.Policy}
+		cfg.Policy = o
+	}
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if o != nil {
+		o.e = e
+	}
+	if linear {
+		e.sched = &linearSched{e: e}
+	}
+	return e.run()
+}
+
+// planOracle is a ViewPolicy around a production policy that checks
+// every planning round's input and output against the AoS form of the
+// same instant, e.snapshot(e.now):
+//
+//   - the engine's incrementally maintained view, host by host, and its
+//     Order, against the view NewView builds from the snapshot;
+//   - Pinned and Evacuate, against lists recomputed host by host;
+//   - the moves and their energy, against the one-shot Plan door run on
+//     the snapshot.
+//
+// A mismatch fails the round with an error, so the run's outcome
+// differs from production's. After delegating, the oracle flags the
+// plan input as changed, so the run never reuses a clean tick's plan.
+type planOracle struct {
+	consolidation.ViewPolicy
+	e *engine
+}
+
+func (o *planOracle) PlanView(v *consolidation.View, cfg consolidation.Config) (*consolidation.Plan, error) {
+	e := o.e
+	snap := e.snapshot(e.now)
+	if err := sameView(v, consolidation.NewView(snap)); err != nil {
+		return nil, fmt.Errorf("oracle at t=%v: %w", e.now, err)
+	}
+	pinned, evac := snapshotPins(e)
+	if !slices.Equal(cfg.Pinned, pinned) || !slices.Equal(cfg.Evacuate, evac) {
+		return nil, fmt.Errorf("oracle at t=%v: pinned %v evacuate %v, snapshot has %v and %v",
+			e.now, cfg.Pinned, cfg.Evacuate, pinned, evac)
+	}
+	plan, err := o.ViewPolicy.PlanView(v, cfg)
+	want, wantErr := o.ViewPolicy.Plan(snap, cfg)
+	e.viewEvents = true
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		return nil, fmt.Errorf("oracle at t=%v: PlanView error %v, Plan door error %v", e.now, err, wantErr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !reflect.DeepEqual(plan.Moves, want.Moves) || plan.MigrationEnergy != want.MigrationEnergy {
+		return nil, fmt.Errorf("oracle at t=%v: PlanView planned %+v (%v J), the Plan door %+v (%v J)",
+			e.now, plan.Moves, plan.MigrationEnergy, want.Moves, want.MigrationEnergy)
+	}
+	return plan, nil
+}
+
+// snapshotPins walks the hosts the way a snapshot lists them and
+// collects the round's pinned and evacuation names: movers and their
+// destination reservations, and post-abort cool-downs, are pinned; the
+// other residents of crashed hosts are evacuees.
+func snapshotPins(e *engine) (pinned, evacuate []string) {
+	for _, h := range e.hosts {
+		for _, v := range h.vms {
+			switch {
+			case v.migrating:
+				pinned = append(pinned, v.Name)
+			case h.down:
+				evacuate = append(evacuate, v.Name)
+			case e.fail.repin[v.Name]:
+				pinned = append(pinned, v.Name)
+			}
+		}
+		for _, f := range h.incoming {
+			pinned = append(pinned, f.resName)
+		}
+	}
+	sort.Strings(pinned)
+	sort.Strings(evacuate)
+	return pinned, evacuate
+}
+
+// sameView compares two views as a policy reads them: host by host,
+// each host's fields, aggregates and slot range contents, then Order.
+// Where a host's range sits in the arena is layout, not content.
+func sameView(got, want *consolidation.View) error {
+	if len(got.HostName) != len(want.HostName) || got.NameOrdered != want.NameOrdered {
+		return fmt.Errorf("view has %d hosts (name-ordered %v), snapshot %d (%v)",
+			len(got.HostName), got.NameOrdered, len(want.HostName), want.NameOrdered)
+	}
+	type host struct {
+		Name      string
+		Threads   int
+		MemCap    units.Bytes
+		IdlePower units.Watts
+		Down      bool
+		Busy      float64
+		Mem       units.Bytes
+		VMs       []consolidation.VMState
+	}
+	at := func(v *consolidation.View, i int) host {
+		h := host{v.HostName[i], v.Threads[i], v.MemCap[i], v.IdlePower[i], v.Down[i], v.Busy[i], v.Mem[i], nil}
+		for k := v.VMStart[i]; k < v.VMStart[i]+v.VMCount[i]; k++ {
+			h.VMs = append(h.VMs, consolidation.VMState{Name: v.VMName[k], MemBytes: v.VMMem[k], BusyVCPUs: v.VMBusy[k], DirtyRatio: v.VMDirty[k]})
+		}
+		return h
+	}
+	for i := range got.HostName {
+		if g, w := at(got, i), at(want, i); !reflect.DeepEqual(g, w) {
+			return fmt.Errorf("view host %d is %+v, snapshot has %+v", i, g, w)
+		}
+	}
+	if !slices.Equal(got.Order, want.Order) {
+		return fmt.Errorf("view Order %v, snapshot Order %v", got.Order, want.Order)
+	}
+	return nil
+}
+
+// TestSchedulerEquivalence is the engine's safety net: on randomized
+// fleets, three runs must produce bit-identical reports — the same
+// MigrationRecord stream, tick records, shifts, stretches, energies,
+// aborts and SLO scores:
+//
+//   - production: the heap scheduler planning through the
+//     incrementally maintained view, reusing clean ticks' plans;
+//   - the heap scheduler under planOracle, which checks every round's
+//     view, pinned lists and plan against the AoS snapshot and the
+//     one-shot Plan door, and never reuses a plan;
+//   - the linear-scan reference scheduler under planOracle.
+//
+// The second half of the fleets inject random failure schedules
 // (crashes, flight-aborts, outage windows), so the equivalence covers
 // the abort paths too — crash, abort and outage events must dirty
-// exactly the hosts they touch, or the incremental view diverges from
-// the rebuilt one here. A fleet where planning legitimately fails must
-// fail identically on every path.
+// exactly the hosts they touch, or the oracle's view check fails. A
+// fleet where planning legitimately fails must fail identically on
+// every path.
 func TestSchedulerEquivalence(t *testing.T) {
 	cache := sim.NewCache(0)
 	r := rand.New(rand.NewSource(20260728))
-	fleets, aborted := 0, 0
+	fleets, aborted, checkedRounds := 0, 0, 0
 	for i := 0; i < 22; i++ {
 		cfg := randomFleet(r)
 		if i >= 10 {
@@ -177,27 +313,20 @@ func TestSchedulerEquivalence(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("fleet %d: generator produced an invalid config: %v", i, err)
 		}
-		fast := cfg
-		fast.Cache = cache
-		want, errFast := Run(fast)
-		rebuild := cfg
-		rebuild.Cache = cache
-		rebuild.fullRebuild = true
-		full, errFull := Run(rebuild)
-		ref := cfg
-		ref.Cache = cache
-		ref.referenceScan = true
-		got, errRef := Run(ref)
-		if (errFast == nil) != (errRef == nil) || (errFast == nil) != (errFull == nil) ||
-			(errFast != nil && (errFast.Error() != errRef.Error() || errFast.Error() != errFull.Error())) {
-			t.Fatalf("fleet %d: schedulers disagree on failure:\ndirty-set: %v\nrebuild: %v\nscan: %v", i, errFast, errFull, errRef)
+		cfg.Cache = cache
+		want, errFast := Run(cfg)
+		checked, errChecked := runWith(cfg, false, true)
+		got, errRef := runWith(cfg, true, true)
+		if (errFast == nil) != (errRef == nil) || (errFast == nil) != (errChecked == nil) ||
+			(errFast != nil && (errFast.Error() != errRef.Error() || errFast.Error() != errChecked.Error())) {
+			t.Fatalf("fleet %d: runs disagree on failure:\nproduction: %v\nheap+oracle: %v\nscan+oracle: %v", i, errFast, errChecked, errRef)
 		}
 		if errFast != nil {
 			continue
 		}
-		if !reflect.DeepEqual(want, full) {
-			t.Errorf("fleet %d (policy=%v, %d moves, %d failures): dirty-set and full-rebuild reports differ:\ndirty-set: %+v\nrebuild: %+v",
-				i, cfg.Policy != nil, len(cfg.Moves), len(cfg.Failures), want, full)
+		if !reflect.DeepEqual(want, checked) {
+			t.Errorf("fleet %d (policy=%v, %d moves, %d failures): production and oracle-checked reports differ:\nproduction: %+v\nchecked: %+v",
+				i, cfg.Policy != nil, len(cfg.Moves), len(cfg.Failures), want, checked)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("fleet %d (policy=%v, %d moves, %d failures): heap and linear-scan reports differ:\nheap: %+v\nscan: %+v",
@@ -207,6 +336,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 			fleets++
 		}
 		aborted += want.AbortedFlights
+		checkedRounds += len(checked.Ticks) // the oracle checks every tick
 	}
 	if fleets < 10 {
 		t.Fatalf("only %d of 22 random fleets migrated anything; generator drift weakens the property", fleets)
@@ -214,6 +344,10 @@ func TestSchedulerEquivalence(t *testing.T) {
 	if aborted == 0 {
 		t.Fatal("no random failure schedule ever aborted a flight; the abort paths went unexercised")
 	}
+	if checkedRounds == 0 {
+		t.Fatal("no random fleet planned; the oracle checked nothing")
+	}
+	t.Logf("%d fleets migrated, %d flights aborted, %d planning rounds checked", fleets, aborted, checkedRounds)
 }
 
 // TestFleetSummaryFields checks the report's fleet-scale aggregates on
@@ -270,37 +404,6 @@ func TestFleetSummaryFields(t *testing.T) {
 	}
 }
 
-// TestClusterTickAllocCeiling is the tick-path allocation-regression
-// gate: once the engine's scratch buffers are sized, rendering a policy
-// snapshot — the per-round O(H) hot path — must not allocate, even with
-// pinned in-flight guests and destination reservations in the picture.
-func TestClusterTickAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; run without -race for the ceiling")
-	}
-	cfg := policyFleet()
-	e, err := newEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exercise the pinned paths: one guest in the air with its
-	// destination reservation.
-	mover := e.hosts[0].vms[0]
-	mover.migrating = true
-	dst := e.hosts[3]
-	dst.incoming = append(dst.incoming, &flight{vm: mover, resName: mover.Name + "+incoming"})
-	e.snapshot(0) // size the scratch buffers
-	tick := time.Duration(0)
-	const ceiling = 0
-	allocs := testing.AllocsPerRun(50, func() {
-		tick += 30 * time.Minute
-		e.snapshot(tick)
-	})
-	if allocs > ceiling {
-		t.Errorf("snapshot allocates %.0f times per policy round, ceiling is %d", allocs, ceiling)
-	}
-}
-
 // TestClusterTickAllocCeiling8k scales the allocation gate to fleet
 // size on the struct-of-arrays path: once the view arrays are sized, a
 // steady-state incremental tick — refresh a few dirty hosts, repair the
@@ -316,8 +419,8 @@ func TestClusterTickAllocCeiling8k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.viewOn {
-		t.Fatal("sparse fixture did not enable the incremental view")
+	if len(e.pview.Order) != len(e.hosts) {
+		t.Fatal("sparse fixture did not build the policy view")
 	}
 	tick := time.Duration(0)
 	touch := func() {
@@ -341,9 +444,10 @@ func TestClusterTickAllocCeiling8k(t *testing.T) {
 // TestEngineBuildAllocCeiling pins what building a 100,000-host engine
 // allocates. Config.check resolves every host straight into the runtime
 // slab, and the engine finds hosts through check's name index, so the
-// fleet exists once. Both ceilings sit about a fifth above the measured
-// build: a second fleet copy trips the byte ceiling, and a re-added
-// host-name map (its table is many objects) the object ceiling.
+// fleet exists once; the engine keeps no per-round AoS snapshot scratch.
+// Both ceilings sit about a fifth above the measured build (37.6 MB and
+// 422 objects): a second fleet copy trips the byte ceiling, and a
+// re-added host-name map (its table is many objects) the object ceiling.
 func TestEngineBuildAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the ceiling")
@@ -360,15 +464,15 @@ func TestEngineBuildAllocCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !e.viewOn {
-			t.Fatal("sparse fixture did not enable the incremental view")
+		if len(e.pview.Order) != len(e.hosts) {
+			t.Fatal("sparse fixture did not build the policy view")
 		}
 	}
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / builds
 	objects := (after.Mallocs - before.Mallocs) / builds
 	t.Logf("%d bytes and %d objects per build", bytes, objects)
-	const byteCeiling, objectCeiling = 54 << 20, 500
+	const byteCeiling, objectCeiling = 45 << 20, 500
 	if bytes > byteCeiling {
 		t.Errorf("building the 100k-host engine allocates %d bytes, ceiling is %d", bytes, byteCeiling)
 	}

@@ -13,11 +13,10 @@ import (
 // This file is the engine's failure-injection layer. A timeline may
 // declare timed failure events — host crashes, flight aborts, switch
 // outage windows — that the discrete-event loop applies between flight
-// transitions and new dispatches at each instant. Both schedulers (the
-// heap core and the retained linear-scan reference) share every method
-// here, so failure handling is bit-identical across them by
-// construction; only the removal of an aborted flight from the
-// scheduler's own bookkeeping branches on cfg.referenceScan.
+// transitions and new dispatches at each instant. Every scheduler
+// shares the methods here, so failure handling is bit-identical across
+// them by construction; only the removal of an aborted flight from the
+// scheduler goes through the scheduler seam (scheduler.drop).
 //
 // Semantics at one instant t, in order:
 //
@@ -118,8 +117,8 @@ func (e *engine) switchDown(name string) bool {
 }
 
 // applyFailures applies every failure event due at instant t, in (At,
-// declaration) order. Called by both schedulers after flight
-// transitions and before phase shifts and dispatches.
+// declaration) order. Called by the event loop after flight transitions
+// and before phase shifts and dispatches.
 func (e *engine) applyFailures(t time.Duration) {
 	for e.fail.fi < len(e.fail.events) && e.fail.events[e.fail.fi].At <= t {
 		ev := e.fail.events[e.fail.fi]
@@ -142,7 +141,7 @@ func (e *engine) applyFailures(t time.Duration) {
 func (e *engine) crashHost(name string, t time.Duration) {
 	h, _ := e.host(name) // validateFailures checked the name
 	h.down = true
-	if e.viewOn {
+	if e.cfg.Policy != nil {
 		e.markHostDirty(h)
 		e.downHosts = append(e.downHosts, h)
 	}
@@ -184,21 +183,10 @@ func (e *engine) abortNamed(name string, t time.Duration) {
 // stays resident on its source (re-pinned for one policy round when the
 // source is still alive).
 func (e *engine) abortFlight(f *flight, t time.Duration, reason string) {
-	if e.cfg.referenceScan {
-		for i, g := range e.flights {
-			if g == f {
-				e.flights = append(e.flights[:i], e.flights[i+1:]...)
-				break
-			}
-		}
-	} else if f.state == fTransfer {
-		e.switchState(f.sw).heap.remove(f)
-	} else {
-		e.timed.remove(f)
-	}
+	e.sched.drop(f)
 	energy, phase := e.abortCharge(f, t)
 	f.vm.migrating = false
-	if e.viewOn {
+	if e.cfg.Policy != nil {
 		// The destination loses its reservation. The source's slots are
 		// unchanged (the mover never left), and the repin added below is
 		// reflected through viewPinnedEvac at the next round.
@@ -225,7 +213,7 @@ func (e *engine) abortFlight(f *flight, t time.Duration, reason string) {
 }
 
 // abortCharge computes the energy already spent by a flight aborted at
-// instant t, from the flight's own spans so both schedulers agree
+// instant t, from the flight's own spans so every scheduler agrees
 // bit-for-bit. The kernel's non-transfer energy is spread uniformly
 // over the head and tail wall spans; the transfer energy is charged at
 // the intrinsic transfer power for every wall second spent in the

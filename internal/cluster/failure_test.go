@@ -356,9 +356,10 @@ func TestDispatchTransactional(t *testing.T) {
 			t.Errorf("host %s left with %d incoming reservations", h.Name, len(h.incoming))
 		}
 	}
-	if e.inFlight != 0 || e.nextIdx != 0 || len(e.fail.airborne) != 0 || len(e.timed.fs) != 0 {
+	timed := e.sched.(*heapSched).timed.fs
+	if e.inFlight != 0 || e.nextIdx != 0 || len(e.fail.airborne) != 0 || len(timed) != 0 {
 		t.Errorf("engine state not rolled back: inFlight=%d nextIdx=%d airborne=%d timed=%d",
-			e.inFlight, e.nextIdx, len(e.fail.airborne), len(e.timed.fs))
+			e.inFlight, e.nextIdx, len(e.fail.airborne), len(timed))
 	}
 	if e.vms["va"].host.Name != "h00" {
 		t.Errorf("va moved to %s despite the failed batch", e.vms["va"].host.Name)
@@ -515,5 +516,41 @@ func TestValidateFailures(t *testing.T) {
 	ok.Moves[0].At = time.Minute
 	if err := ok.Validate(); err != nil {
 		t.Errorf("move at the restore instant refused: %v", err)
+	}
+}
+
+// TestCooldownExpiryReplans pins the one plan-input change that is not
+// per-host state: an abort cool-down expiring. On a two-host fleet the
+// aborted VM's cool-down round plans nothing (its host is pinned, and
+// the other host's guest does not fit onto it), and no host changes
+// afterwards, so the next round would be a clean tick — but the expired
+// pin frees the VM, and that round must re-plan its move rather than
+// reuse the empty plan.
+func TestCooldownExpiryReplans(t *testing.T) {
+	hosts := fleet("m01", []VM{vmSpec("small", 2, 0.1)}, []VM{vmSpec("big", 12, 0.1)})
+	hosts[0].Threads = 8 // big (12 busy) never fits onto h00
+	cfg := Config{
+		Kind:         migration.Live,
+		Hosts:        hosts,
+		Policy:       consolidation.EnergyAware{Model: consolidation.HeuristicCost{}},
+		PolicyConfig: consolidation.Config{Horizon: 24 * time.Hour},
+		Tick:         time.Minute,
+		Horizon:      4 * time.Minute,
+		Seed:         3,
+	}
+	base := mustRun(t, cfg)
+	if len(base.Timeline) != 1 || base.Timeline[0].VM != "small" || base.Timeline[0].End >= 2*time.Minute {
+		t.Fatalf("fixture drift: want one drain of small landing before 2m, got %+v", base.Timeline)
+	}
+	cfg.Failures = []FailureEvent{{At: base.Timeline[0].End / 2, Kind: FailFlightAbort, VM: "small"}}
+	rep := mustRun(t, cfg)
+	if len(rep.Aborted) != 1 || len(rep.Ticks) < 3 {
+		t.Fatalf("aborts %+v, ticks %+v: want one abort and at least three rounds", rep.Aborted, rep.Ticks)
+	}
+	if cool := rep.Ticks[1]; cool.Moves != 0 || cool.Pinned != 1 {
+		t.Fatalf("cool-down round %+v, want no moves and the one pin", cool)
+	}
+	if next := rep.Ticks[2]; next.Moves != 1 || next.Pinned != 0 {
+		t.Errorf("round after the cool-down %+v, want the freed VM re-planned (1 move, no pins)", next)
 	}
 }

@@ -43,7 +43,7 @@ type TickRecord struct {
 	At time.Duration
 	// Moves is how many migrations the round planned and dispatched.
 	Moves int
-	// Pinned is how many placement entries the round's snapshot pinned —
+	// Pinned is how many placement entries the round pinned —
 	// what the policy actually saw: every in-flight migration contributes
 	// two (the migrating VM on its source and its "+incoming" destination
 	// reservation), and a VM whose flight just aborted contributes one

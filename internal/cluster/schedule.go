@@ -1,6 +1,32 @@
 package cluster
 
-import "time"
+import (
+	"math"
+	"sort"
+	"time"
+)
+
+// scheduler finds and fires the flights' lifecycle events — head end,
+// transfer completion, tail end — for the engine's event loop. The loop
+// owns everything else that happens at an instant (ticks, explicit
+// dispatches, phase shifts, failures) and asks the scheduler only about
+// flights. newEngine installs the heap scheduler below; the equivalence
+// tests install a linear-scan reference behind the same seam.
+type scheduler interface {
+	// next returns the earliest instant a flight event is due, if any
+	// flight is scheduled. Transfers stalled by an outage have none.
+	next() (time.Duration, bool)
+	// advance drains the transfers from the engine's clock to t; the
+	// engine moves its clock afterwards.
+	advance(t time.Duration)
+	// fire moves every flight due at t through its due lifecycle
+	// phases, in dispatch order, landing the ones that complete.
+	fire(t time.Duration)
+	// enqueue schedules a committed flight from its head phase.
+	enqueue(f *flight)
+	// drop unschedules an aborted flight.
+	drop(f *flight)
+}
 
 // This file is the engine's O(log F) scheduling core. The discrete-event
 // loop needs, per event, the earliest instant anything happens and the
@@ -32,7 +58,7 @@ type swState struct {
 	// is the switch occupancy — the O(1) counter the sharing arithmetic
 	// divides by.
 	heap flightHeap
-	// active marks membership in the engine's active-switch list.
+	// active marks membership in the heap scheduler's active list.
 	active bool
 	// down marks an injected outage window: advance() freezes the
 	// switch's virtual clock (transfers stall with their remaining work
@@ -165,37 +191,164 @@ func (e *engine) switchState(name string) *swState {
 	return s
 }
 
-// activate puts a switch on the engine's active list; advance() drains
-// virtual time only for listed switches, so activation must accompany
-// the first transfer admitted after an idle span.
-func (e *engine) activate(s *swState) {
-	if !s.active {
-		s.active = true
-		e.active = append(e.active, s)
+// heapSched is the engine's scheduler: fixed-instant events in one
+// indexed min-heap, transfers per switch in virtual time (the swState
+// heaps of the engine's switches).
+type heapSched struct {
+	e      *engine
+	timed  flightHeap
+	active []*swState // switches carrying traffic
+	due    []*flight  // per-fire scratch, reused
+}
+
+func newHeapSched(e *engine) *heapSched {
+	return &heapSched{e: e, timed: flightHeap{key: dueKey}}
+}
+
+// next returns the top of the fixed-instant heap and each
+// traffic-carrying switch's projected next transfer completion (O(1)
+// per switch). It first drops the switches whose last transfer
+// completed or aborted since the previous call.
+func (s *heapSched) next() (time.Duration, bool) {
+	s.compactActive()
+	t, ok := time.Duration(math.MaxInt64), false
+	if len(s.timed.fs) > 0 {
+		t, ok = s.timed.fs[0].due, true
+	}
+	for _, sw := range s.active {
+		if sw.down {
+			continue // stalled: the outage froze this link's clock
+		}
+		if c := sw.nextAt(s.e.now); c < t {
+			t = c
+		}
+		ok = true
+	}
+	return t, ok
+}
+
+// advance drains every traffic-carrying switch by its equal share of
+// the elapsed span: virt += dt/occ, one integer division per switch
+// instead of one per flight. Occupancy is constant between events, so
+// the division is the exact floor the linear reference applies to each
+// flight's remaining work; a due flight's remaining work (virtDone −
+// virt) reaches exactly zero.
+func (s *heapSched) advance(t time.Duration) {
+	dt := t - s.e.now
+	if dt <= 0 {
+		return
+	}
+	for _, sw := range s.active {
+		if sw.down {
+			continue // outage: virtual time freezes, work is preserved
+		}
+		sw.virt += dt / sw.occ()
 	}
 }
 
-// compactActive drops switches whose last transfer completed. Called
-// once per fire, after all transitions have settled.
-func (e *engine) compactActive() {
-	kept := e.active[:0]
-	for _, s := range e.active {
-		if len(s.heap.fs) > 0 {
-			kept = append(kept, s)
+// fire collects every due flight — fixed-instant head/tail events from
+// the timed heap, transfer completions from each active switch's
+// virtual-time heap — then processes them in dispatch order, matching
+// the linear reference.
+func (s *heapSched) fire(t time.Duration) {
+	s.due = s.due[:0]
+	for len(s.timed.fs) > 0 && s.timed.fs[0].due <= t {
+		s.due = append(s.due, s.timed.pop())
+	}
+	for _, sw := range s.active {
+		for len(sw.heap.fs) > 0 && sw.heap.fs[0].virtDone <= sw.virt {
+			s.due = append(s.due, sw.heap.pop())
+		}
+	}
+	if len(s.due) > 1 {
+		sort.Slice(s.due, func(i, j int) bool { return s.due[i].idx < s.due[j].idx })
+	}
+	for _, f := range s.due {
+		s.transition(f, t)
+	}
+}
+
+// transition advances one flight through every lifecycle phase due at
+// instant t (a flight may cascade through zero-span phases within one
+// instant), re-registering it wherever it comes to rest. Callers hand
+// in flights already removed from their heap.
+func (s *heapSched) transition(f *flight, t time.Duration) {
+	for {
+		switch f.state {
+		case fHead:
+			if f.headEnd > t {
+				s.timedPush(f, f.headEnd)
+				return
+			}
+			f.state = fTransfer
+			if f.work > 0 {
+				sw := s.e.switchState(f.sw)
+				f.virtDone = sw.virt + f.work
+				sw.heap.push(f)
+				s.activate(sw)
+				return
+			}
+			// Zero-length transfer: complete in the same instant, exactly
+			// like the linear loop's cascade.
+		case fTransfer:
+			// Only reached when the transfer is complete at t: popped from
+			// its switch heap by fire, or cascading with zero work.
+			f.transferEnd = t
+			f.state = fTail
+			f.end = t + f.tailSpan
+		default:
+			if f.end > t {
+				s.timedPush(f, f.end)
+				return
+			}
+			s.e.land(f, t)
+			return
+		}
+	}
+}
+
+// enqueue registers a committed flight's head end.
+func (s *heapSched) enqueue(f *flight) { s.timedPush(f, f.headEnd) }
+
+// drop removes an aborted flight from whichever heap holds it.
+func (s *heapSched) drop(f *flight) {
+	if f.state == fTransfer {
+		s.e.switchState(f.sw).heap.remove(f)
+	} else {
+		s.timed.remove(f)
+	}
+}
+
+// activate puts a switch on the active list; advance drains virtual
+// time only for listed switches, so activation must accompany the first
+// transfer admitted after an idle span.
+func (s *heapSched) activate(sw *swState) {
+	if !sw.active {
+		sw.active = true
+		s.active = append(s.active, sw)
+	}
+}
+
+// compactActive drops switches whose heaps emptied.
+func (s *heapSched) compactActive() {
+	kept := s.active[:0]
+	for _, sw := range s.active {
+		if len(sw.heap.fs) > 0 {
+			kept = append(kept, sw)
 		} else {
-			s.active = false
+			sw.active = false
 		}
 	}
 	// Let dropped tails be collected.
-	for i := len(kept); i < len(e.active); i++ {
-		e.active[i] = nil
+	for i := len(kept); i < len(s.active); i++ {
+		s.active[i] = nil
 	}
-	e.active = kept
+	s.active = kept
 }
 
 // timedPush registers a flight's next fixed-instant event (head end or
 // tail end).
-func (e *engine) timedPush(f *flight, at time.Duration) {
+func (s *heapSched) timedPush(f *flight, at time.Duration) {
 	f.due = at
-	e.timed.push(f)
+	s.timed.push(f)
 }

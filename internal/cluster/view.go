@@ -15,8 +15,8 @@ import (
 // event-driven dirty set, so a planning round at fleet scale touches
 // only the hosts events actually changed since the last tick.
 //
-// Invariants (property-tested against the full-rebuild fallback and the
-// retained linear-scan reference):
+// Invariants (checked every planning round, in the equivalence tests,
+// against a view built afresh from the engine's AoS snapshot):
 //
 //   - Every event that changes a host's slot membership or demand marks
 //     it dirty: dispatch commit (destination gains a reservation), land
@@ -37,18 +37,6 @@ import (
 //     policies' (busy, name) key; it is a unique total order, and the
 //     repair reproduces a full sort exactly.
 
-// viewEnabled reports whether this configuration plans through the
-// incrementally maintained view: a ViewPolicy on the heap scheduler.
-// The linear-scan reference and non-view policies keep the historical
-// AoS snapshot path.
-func (e *engine) viewEnabled() (consolidation.ViewPolicy, bool) {
-	if e.cfg.Policy == nil || e.cfg.referenceScan {
-		return nil, false
-	}
-	vp, ok := e.cfg.Policy.(consolidation.ViewPolicy)
-	return vp, ok
-}
-
 // markHostDirty queues a host for refresh at the next planning tick.
 func (e *engine) markHostDirty(h *hostRT) {
 	if !e.dirtyMark[h.vi] {
@@ -66,83 +54,42 @@ func (e *engine) markHostVarying(h *hostRT) {
 	}
 }
 
-// flattenHostView appends host h's current state to the view arrays at
-// time t. Build path only (rebuildView); the incremental path rewrites
-// slots in place via refreshHostView.
-func (e *engine) flattenHostView(h *hostRT, t time.Duration) {
-	v := &e.pview
-	v.HostName = append(v.HostName, h.Name)
-	v.Threads = append(v.Threads, h.Threads)
-	v.MemCap = append(v.MemCap, h.MemBytes)
-	v.IdlePower = append(v.IdlePower, h.IdlePower)
-	v.Down = append(v.Down, h.down)
-	v.VMStart = append(v.VMStart, int32(len(v.VMName)))
-	v.VMCount = append(v.VMCount, int32(len(h.vms)+len(h.incoming)))
-	busy := 0.0
-	var mem units.Bytes
-	for _, g := range h.vms {
-		b := g.busyAt(t)
-		v.VMName = append(v.VMName, g.Name)
-		v.VMMem = append(v.VMMem, g.MemBytes)
-		v.VMBusy = append(v.VMBusy, b)
-		v.VMDirty = append(v.VMDirty, g.dirtyAt(t))
-		busy += b
-		mem += g.MemBytes
-	}
-	for _, f := range h.incoming {
-		b := f.vm.busyAt(t)
-		v.VMName = append(v.VMName, f.resName)
-		v.VMMem = append(v.VMMem, f.vm.MemBytes)
-		v.VMBusy = append(v.VMBusy, b)
-		v.VMDirty = append(v.VMDirty, f.vm.dirtyAt(t))
-		busy += b
-		mem += f.vm.MemBytes
-	}
-	v.Busy = append(v.Busy, busy)
-	v.Mem = append(v.Mem, mem)
-}
-
-// rebuildView reconstructs the whole view from the runtime state at
-// time t: the initial build, and every tick of the property-tested
-// full-rebuild fallback (Config.fullRebuild). The arrays are sized up
-// front, so a 100k-host build grows none of them.
+// rebuildView builds the whole view from the runtime state at time t,
+// once, when the engine is built. Each host's range grows from an empty
+// count through refreshHostView, the view's one writer; the arrays are
+// sized up front, so a 100k-host build grows none of them.
 func (e *engine) rebuildView(t time.Duration) {
 	v := &e.pview
 	n, slots := len(e.hosts), 0
 	for _, h := range e.hosts {
 		slots += len(h.vms) + len(h.incoming)
 	}
-	v.HostName = slices.Grow(v.HostName[:0], n)
-	v.Threads = slices.Grow(v.Threads[:0], n)
-	v.MemCap = slices.Grow(v.MemCap[:0], n)
-	v.IdlePower = slices.Grow(v.IdlePower[:0], n)
-	v.Down = slices.Grow(v.Down[:0], n)
-	v.Busy = slices.Grow(v.Busy[:0], n)
-	v.Mem = slices.Grow(v.Mem[:0], n)
-	v.VMStart = slices.Grow(v.VMStart[:0], n)
-	v.VMCount = slices.Grow(v.VMCount[:0], n)
-	v.VMName = slices.Grow(v.VMName[:0], slots)
-	v.VMMem = slices.Grow(v.VMMem[:0], slots)
-	v.VMBusy = slices.Grow(v.VMBusy[:0], slots)
-	v.VMDirty = slices.Grow(v.VMDirty[:0], slots)
-	for _, h := range e.hosts {
-		e.flattenHostView(h, t)
+	v.HostName = make([]string, n)
+	v.Threads = make([]int, n)
+	v.MemCap = make([]units.Bytes, n)
+	v.IdlePower = make([]units.Watts, n)
+	v.Down = make([]bool, n)
+	v.Busy = make([]float64, n)
+	v.Mem = make([]units.Bytes, n)
+	v.VMStart = make([]int32, n)
+	v.VMCount = make([]int32, n)
+	v.VMName = make([]string, 0, slots)
+	v.VMMem = make([]units.Bytes, 0, slots)
+	v.VMBusy = make([]float64, 0, slots)
+	v.VMDirty = make([]units.Fraction, 0, slots)
+	for i, h := range e.hosts {
+		v.HostName[i], v.Threads[i], v.MemCap[i], v.IdlePower[i] = h.Name, h.Threads, h.MemBytes, h.IdlePower
+		e.refreshHostView(h, t)
 	}
-	e.viewLive = len(v.VMName)
 	// The engine's hosts are name-sorted (newEngine), so index order is
 	// name order — the precondition for the policies' order-indexed
 	// target scan, and what lets Order sort by (busy, index).
 	v.NameOrdered = true
-	v.Order = slices.Grow(v.Order[:0], n)
-	for i := range e.hosts {
-		v.Order = append(v.Order, int32(i))
+	v.Order = make([]int32, n)
+	for i := range v.Order {
+		v.Order[i] = int32(i)
 	}
 	slices.SortFunc(v.Order, func(a, b int32) int { return viewCmp(v, a, b) })
-	// The rebuild consumed every outstanding mark.
-	for _, vi := range e.dirty {
-		e.dirtyMark[vi] = false
-	}
-	e.dirty = e.dirty[:0]
 }
 
 // refreshHostView rewrites one host's view slots and aggregates at
@@ -294,26 +241,27 @@ func (e *engine) compactArena() {
 // viewPinnedEvac derives the pinned and evacuation name lists from the
 // flight and failure state: airborne movers and their reservations plus
 // post-abort cool-downs are pinned; non-migrating residents of crashed
-// hosts are evacuees. Produces exactly the sorted lists the AoS
-// snapshot assembles per-host (abort cool-downs only ever name VMs on
-// live hosts — crashHost clears its residents' repins).
+// hosts are evacuees. The lists are sorted and equal what a per-host
+// walk would collect (abort cool-downs only ever name VMs on live hosts
+// — crashHost clears its residents' repins). They are the engine's
+// scratch, valid until the next round.
 func (e *engine) viewPinnedEvac() (pinned, evacuate []string) {
-	e.snapPinned = e.snapPinned[:0]
-	e.snapEvac = e.snapEvac[:0]
+	e.pinned = e.pinned[:0]
+	e.evac = e.evac[:0]
 	for _, f := range e.fail.airborne {
-		e.snapPinned = append(e.snapPinned, f.vm.Name, f.resName)
+		e.pinned = append(e.pinned, f.vm.Name, f.resName)
 	}
 	for name := range e.fail.repin {
-		e.snapPinned = append(e.snapPinned, name)
+		e.pinned = append(e.pinned, name)
 	}
 	for _, h := range e.downHosts {
 		for _, g := range h.vms {
 			if !g.migrating {
-				e.snapEvac = append(e.snapEvac, g.Name)
+				e.evac = append(e.evac, g.Name)
 			}
 		}
 	}
-	sort.Strings(e.snapPinned)
-	sort.Strings(e.snapEvac)
-	return e.snapPinned, e.snapEvac
+	sort.Strings(e.pinned)
+	sort.Strings(e.evac)
+	return e.pinned, e.evac
 }

@@ -36,8 +36,8 @@ func TestViewOrderRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.viewOn {
-		t.Fatal("fixture did not enable the incremental view")
+	if len(e.pview.Order) != len(e.hosts) {
+		t.Fatal("fixture did not build the policy view")
 	}
 	v := &e.pview
 	now := time.Duration(0)

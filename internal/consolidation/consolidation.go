@@ -97,12 +97,6 @@ func (h HostState) UsedMem() units.Bytes {
 	return s
 }
 
-// fits reports whether vm can be placed on h under the utilisation cap.
-func (h HostState) fits(vm VMState, cpuCap float64) bool {
-	return h.BusyThreads()+vm.BusyVCPUs <= float64(h.Threads)*cpuCap &&
-		h.UsedMem()+vm.MemBytes <= h.MemBytes
-}
-
 // MigrationCost is what the energy model predicts for one candidate move.
 type MigrationCost struct {
 	Energy   units.Joules
@@ -220,20 +214,10 @@ func (c Config) evacuateSet() map[string]bool {
 	return set
 }
 
-// hasPinned reports whether any of the host's VMs is pinned.
-func (h HostState) hasPinned(pinned map[string]bool) bool {
-	for _, v := range h.VMs {
-		if pinned[v.Name] {
-			return true
-		}
-	}
-	return false
-}
-
 // Policy turns a data-centre state into a consolidation plan. Policies
-// are re-entrant: a periodic re-planner invokes Plan repeatedly against
-// the evolving state, pinning in-flight VMs via Config.Pinned between
-// invocations.
+// are re-entrant: a caller may plan an evolving state repeatedly,
+// pinning in-flight VMs via Config.Pinned between calls (the cluster
+// engine re-plans this way through ViewPolicy.PlanView).
 type Policy interface {
 	Name() string
 	Plan(hosts []HostState, cfg Config) (*Plan, error)
@@ -262,31 +246,6 @@ func validateHosts(hosts []HostState) error {
 		}
 	}
 	return nil
-}
-
-// cloneHosts deep-copies the state so planning never mutates the input.
-func cloneHosts(hosts []HostState) []HostState {
-	out := make([]HostState, len(hosts))
-	for i, h := range hosts {
-		out[i] = h
-		out[i].VMs = append([]VMState(nil), h.VMs...)
-	}
-	return out
-}
-
-// hostByName returns a pointer into the working copy.
-func hostByName(hosts []HostState, name string) *HostState {
-	for i := range hosts {
-		if hosts[i].Name == name {
-			return &hosts[i]
-		}
-	}
-	return nil
-}
-
-// removeVM detaches a VM from a host state.
-func removeVM(h *HostState, name string) (VMState, bool) {
-	return removeVMSlice(&h.VMs, name)
 }
 
 // removeVMSlice detaches a VM from a bare VM list, preserving order.

@@ -49,6 +49,22 @@ func (sc *viewDrainScratch) add(w *vwork, j int32, vm VMState) {
 	sc.tentEpoch[j] = sc.epoch
 }
 
+// planHosts is the one-shot Plan door both built-in policies share: it
+// validates the hosts, flattens them into a fresh View, plans it through
+// PlanView, and adds the fleet summary the moves imply.
+func planHosts(p ViewPolicy, hosts []HostState, cfg Config) (*Plan, error) {
+	if err := validateHosts(hosts); err != nil {
+		return nil, err
+	}
+	v := NewView(hosts)
+	plan, err := p.PlanView(v, cfg)
+	if err != nil {
+		return nil, err
+	}
+	v.summarize(plan)
+	return plan, nil
+}
+
 // EnergyAware is the paper-aligned policy: it tries to empty the least
 // loaded hosts, pricing every candidate move with the migration energy
 // model and choosing, per VM, the admissible target with the lowest
@@ -61,24 +77,15 @@ type EnergyAware struct {
 // Name implements Policy.
 func (EnergyAware) Name() string { return "energy-aware" }
 
-// Plan implements Policy by flattening the hosts into a View and
-// delegating to the shared view planner; both entry points run one
-// implementation and plan bit-identical moves. Plan adds the fleet
-// summary, read from the planner's post-plan working state.
+// errNoModel rejects an EnergyAware policy without a cost model.
+var errNoModel = errors.New("consolidation: energy-aware policy needs a cost model")
+
+// Plan implements Policy through the one-shot door (see planHosts).
 func (p EnergyAware) Plan(hosts []HostState, cfg Config) (*Plan, error) {
 	if p.Model == nil {
-		return nil, errors.New("consolidation: energy-aware policy needs a cost model")
+		return nil, errNoModel
 	}
-	if err := validateHosts(hosts); err != nil {
-		return nil, err
-	}
-	v := NewView(hosts)
-	plan, err := p.planView(v, cfg)
-	if err != nil {
-		return nil, err
-	}
-	v.summarize(plan, v.ws.cntOf)
-	return plan, nil
+	return planHosts(p, hosts, cfg)
 }
 
 // PlanView implements ViewPolicy. The view's host set is trusted (the
@@ -86,15 +93,11 @@ func (p EnergyAware) Plan(hosts []HostState, cfg Config) (*Plan, error) {
 // minimum is re-checked.
 func (p EnergyAware) PlanView(v *View, cfg Config) (*Plan, error) {
 	if p.Model == nil {
-		return nil, errors.New("consolidation: energy-aware policy needs a cost model")
+		return nil, errNoModel
 	}
 	if v.hostCount() < 2 {
 		return nil, errors.New("consolidation: need at least two hosts")
 	}
-	return p.planView(v, cfg)
-}
-
-func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	cfg = cfg.withDefaults()
 	w := v.work()
 	plan := &Plan{}
@@ -283,6 +286,10 @@ func (p EnergyAware) considerTarget(w *vwork, sc *viewDrainScratch, si, j int32,
 	if j < 0 || j == si {
 		return best, bestCost, nil
 	}
+	// Never wake an already-empty host to fill it: that defeats
+	// consolidation. (Empty hosts never receive tentative adds, so the
+	// resident count needs no delta tracking.) Crashed hosts take no
+	// guests at all.
 	if w.cntOf(j) == 0 || w.v.Down[j] {
 		return best, bestCost, nil
 	}
@@ -379,29 +386,13 @@ func (p EnergyAware) drainView(w *vwork, si int32, cfg Config, movesSoFar int, s
 				}
 			}
 		} else {
+			// Linear scan: price every host. Ascending j never ties below
+			// the running best, so considerTarget keeps the first cheapest.
 			for j := int32(0); j < hosts; j++ {
-				if j == si {
-					continue
-				}
-				// Never wake an already-empty host to fill it: that defeats
-				// consolidation. (Empty hosts never receive tentative adds,
-				// so the resident count needs no delta tracking.) Crashed
-				// hosts take no guests at all.
-				if w.cntOf(j) == 0 || v.Down[j] {
-					continue
-				}
-				busy, mem := sc.effective(w, j)
-				if busy+vm.BusyVCPUs > float64(v.Threads[j])*cfg.CPUCap ||
-					mem+vm.MemBytes > v.MemCap[j] {
-					continue
-				}
-				cost, err := p.Model.Cost(vm, srcArg, busy)
+				var err error
+				best, bestCost, err = p.considerTarget(w, sc, si, j, vm, srcArg, cfg, best, bestCost)
 				if err != nil {
 					return nil, false, err
-				}
-				if best < 0 || cost.Energy < bestCost.Energy {
-					best = j
-					bestCost = cost
 				}
 			}
 		}
@@ -432,33 +423,16 @@ type FirstFitDecreasing struct {
 // Name implements Policy.
 func (FirstFitDecreasing) Name() string { return "first-fit-decreasing" }
 
-// Plan implements Policy via the shared view planner (see
-// EnergyAware.Plan); the fleet summary comes from the packed bins.
+// Plan implements Policy through the one-shot door (see planHosts).
 func (p FirstFitDecreasing) Plan(hosts []HostState, cfg Config) (*Plan, error) {
-	if err := validateHosts(hosts); err != nil {
-		return nil, err
-	}
-	v := NewView(hosts)
-	plan, bins, err := p.planView(v, cfg)
-	if err != nil {
-		return nil, err
-	}
-	v.summarize(plan, func(i int32) int32 { return bins[i] })
-	return plan, nil
+	return planHosts(p, hosts, cfg)
 }
 
-// PlanView implements ViewPolicy.
+// PlanView implements ViewPolicy by packing the view.
 func (p FirstFitDecreasing) PlanView(v *View, cfg Config) (*Plan, error) {
 	if v.hostCount() < 2 {
 		return nil, errors.New("consolidation: need at least two hosts")
 	}
-	plan, _, err := p.planView(v, cfg)
-	return plan, err
-}
-
-// planView packs the view and returns the plan with each host's
-// post-plan resident count.
-func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error) {
 	cfg = cfg.withDefaults()
 	plan := &Plan{}
 	pinned := cfg.pinnedSet()
@@ -505,26 +479,19 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error
 	// the bin's VM list after each placement.
 	binBusy := make([]float64, n)
 	binMem := make([]units.Bytes, n)
-	binCnt := make([]int32, n)
 	for i := 0; i < n; i++ {
 		s, c := v.VMStart[i], v.VMCount[i]
 		for k := s; k < s+c; k++ {
 			if pinned[v.VMName[k]] {
 				binBusy[i] += v.VMBusy[k]
 				binMem[i] += v.VMMem[k]
-				binCnt[i]++
 			}
 		}
 	}
-	for idx, pl := range all {
+	for _, pl := range all {
 		// Move budget exhausted: every VM not yet processed stays where
-		// it is. They must land back in their origin bins, or the one-shot
-		// door's freed-host summary would report hosts as empty that still
-		// run the unmoved tail of the packing order.
+		// it is.
 		if cfg.MaxMoves > 0 && len(plan.Moves) >= cfg.MaxMoves {
-			for _, rest := range all[idx:] {
-				binCnt[rest.from]++
-			}
 			break
 		}
 		placedAt := int32(-1)
@@ -536,13 +503,12 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error
 				binMem[i]+pl.vm.MemBytes <= v.MemCap[i] {
 				binBusy[i] += pl.vm.BusyVCPUs
 				binMem[i] += pl.vm.MemBytes
-				binCnt[i]++
 				placedAt = int32(i)
 				break
 			}
 		}
 		if placedAt < 0 {
-			return nil, nil, fmt.Errorf("consolidation: FFD cannot place VM %q", pl.vm.Name)
+			return nil, fmt.Errorf("consolidation: FFD cannot place VM %q", pl.vm.Name)
 		}
 		if placedAt != pl.from {
 			move := Move{VM: pl.vm.Name, From: v.HostName[pl.from], To: v.HostName[placedAt]}
@@ -551,7 +517,7 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error
 				dstBusy := binBusy[placedAt] - pl.vm.BusyVCPUs
 				cost, err := p.Model.Cost(pl.vm, srcBusy, dstBusy)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				move.Cost = cost
 			}
@@ -559,7 +525,7 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error
 		}
 	}
 	plan.sumEnergy()
-	return plan, binCnt, nil
+	return plan, nil
 }
 
 // Compile-time interface checks: both built-in policies plan directly

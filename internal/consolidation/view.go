@@ -56,22 +56,21 @@ type View struct {
 	ws *vwork
 }
 
-// ViewPolicy is a Policy that can plan directly against a View. The
-// built-in policies implement it, and their classic Plan entry points
-// delegate through NewView, so both paths share one implementation and
-// plan bit-identical moves.
+// ViewPolicy is a Policy that can plan directly against a View. PlanView
+// is the planning core: the built-in policies' one-shot Plan doors
+// validate, flatten the hosts through NewView and call it, so both
+// paths plan bit-identical moves.
 //
 // PlanView returns the round's moves and their MigrationEnergy only; it
 // leaves the fleet summary (FreedHosts, IdleSavings) empty, because
 // finding every empty host costs O(hosts) and a periodic re-planner
-// acts on the moves alone. The one-shot Plan entry points fill the
-// summary from the same post-plan working state.
+// acts on the moves alone. The one-shot Plan doors add the summary the
+// moves imply.
 //
 // A View carries the planners' working memory, reused across calls, so
 // one goroutine plans a given View at a time. The cluster engine plans
-// its one View from its event loop, and the classic Plan entry points
-// build a fresh View per call. A returned Plan shares no memory with
-// the View.
+// its one View from its event loop, and the one-shot Plan doors build a
+// fresh View per call. A returned Plan shares no memory with the View.
 type ViewPolicy interface {
 	Policy
 	PlanView(v *View, cfg Config) (*Plan, error)
@@ -124,7 +123,7 @@ func (v *View) SortOrder() {
 
 // NewView flattens an AoS host list into a fresh View. The input is
 // not retained; callers with invalid hosts must validate first (the
-// legacy Plan entry points do).
+// one-shot Plan doors do).
 func NewView(hosts []HostState) *View {
 	v := &View{}
 	nameOrdered := true
@@ -161,7 +160,7 @@ type vwork struct {
 	received    []bool // set only on touched hosts
 	// Per-call scratch.
 	order []int32 // drain order re-sorted after evacuations
-	live  []int32 // drain targets in busy order (see planView)
+	live  []int32 // drain targets in busy order (see EnergyAware.PlanView)
 	drain viewDrainScratch
 }
 
@@ -302,16 +301,21 @@ func (w *vwork) recompute(i int32) {
 	w.busy[i], w.mem[i] = busy, mem
 }
 
-// summarize fills a one-shot plan's fleet summary from the post-plan
-// resident count of every host: each live host left empty is freed, in
-// name order, and its idle draw is reclaimed. A crashed host emptied by
-// evacuation is not freed: it already draws nothing. PlanView plans
-// carry no summary — a periodic re-planner reads only the moves — so
-// this O(hosts) pass runs only behind the Policy.Plan entry points.
-func (v *View) summarize(plan *Plan, resident func(int32) int32) {
-	for i := int32(0); i < int32(v.hostCount()); i++ {
-		if resident(i) == 0 && !v.Down[i] {
-			plan.FreedHosts = append(plan.FreedHosts, v.HostName[i])
+// summarize fills a one-shot plan's fleet summary: every live host the
+// plan's moves leave empty is freed, in name order, and its idle draw is
+// reclaimed. A crashed host emptied by evacuation is not freed: it
+// already draws nothing. PlanView plans carry no summary — a periodic
+// re-planner reads only the moves — so this O(hosts) pass runs only
+// behind the Policy.Plan doors.
+func (v *View) summarize(plan *Plan) {
+	delta := make(map[string]int32, 2*len(plan.Moves))
+	for _, m := range plan.Moves {
+		delta[m.From]--
+		delta[m.To]++
+	}
+	for i, name := range v.HostName {
+		if v.VMCount[i]+delta[name] == 0 && !v.Down[i] {
+			plan.FreedHosts = append(plan.FreedHosts, name)
 			plan.IdleSavings += v.IdlePower[i]
 		}
 	}

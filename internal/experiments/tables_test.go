@@ -177,11 +177,11 @@ func TestSuiteEndToEnd(t *testing.T) {
 	}
 
 	// The paper's secondary observation — HUANG degrades more from
-	// non-live to live than WAVM3 — holds on the full campaign (asserted
-	// against the bench output in EXPERIMENTS.md); on this reduced sweep
-	// the NRMSE denominators per kind are too narrow to compare reliably,
-	// so here we only require WAVM3's live advantage over HUANG to be
-	// decisive on both hosts (checked above).
+	// non-live to live than WAVM3 — is not asserted by any test yet: on
+	// this reduced sweep the NRMSE denominators per kind are too narrow
+	// to compare reliably, so here we only require WAVM3's live advantage
+	// over HUANG to be decisive on both hosts (checked above). A claim
+	// suite over several campaign seeds is ROADMAP item 1.
 }
 
 func TestBuildSuiteValidation(t *testing.T) {

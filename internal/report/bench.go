@@ -70,8 +70,8 @@ func (r *BenchReport) AnnotateSLO(s SLO) {
 
 // BenchReport is the machine-readable outcome of one wavm3bench session:
 // per-artefact wall-clock timings plus the run-cache's effectiveness.
-// Committed snapshots (BENCH_<pr>.json) give later changes a perf
-// trajectory to compare against.
+// It describes one session; the repository's performance trajectory is
+// measured by perfbench/, which times whole workloads end to end.
 type BenchReport struct {
 	// Tool identifies the producer ("wavm3bench").
 	Tool string `json:"tool"`
